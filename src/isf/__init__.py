@@ -35,8 +35,8 @@ from .errors import (
     CyclicInput,
     IndexViolation,
     InputError,
+    InvariantViolation,
     NonCanonicalCycle,
-    NotAForest,
     NotASubset,
     NotIncreasing,
     NotInGraph,
@@ -53,7 +53,7 @@ from .graphs import (
     orient,
 )
 from .injection import PsiTrace, psi, select_j, verify_psi
-from .polynomials import MultiPoly, TPoly, elementary_symmetric, nonneg_report
+from .polynomials import MultiPoly, TPoly, elementary_symmetric
 from .stirling import (
     Permutation,
     StirlingRow,

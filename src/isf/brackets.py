@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubset, NotInImage, SizeViolation
+from .errors import InvariantViolation, NotASubset, NotInImage, SizeViolation
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,11 @@ class BracketState:
             unmatched_open=tuple(stack),
         )
         # chain invariant: closes before opens among unmatched positions
-        assert not state.unmatched_close or not state.unmatched_open or (
-            state.unmatched_close[-1] < state.unmatched_open[0]
-        )
+        if unmatched_close and stack and unmatched_close[-1] > stack[0]:
+            raise InvariantViolation(
+                f"unmatched close at {unmatched_close[-1]} follows "
+                f"unmatched open at {stack[0]}"
+            )
         return state
 
 

@@ -2,11 +2,11 @@
 
 Every invocation prints a single JSON report
     {"command": ..., "ok": ..., "payload": ..., "diagnostics": [...]}
-and exits with 0 on success, 1 when a checked property fails (a finding
-that would falsify the underlying theorems), and 2 on input or usage
-errors.  `-` as a file argument reads standard input.  Output is
-deterministic: keys are sorted and identical invocations produce
-byte-identical bytes.
+and exits with 0 on success, 1 when a checked property or an internal
+invariant fails (a finding that would falsify the underlying theorems),
+and 2 on input or usage errors.  `-` as a file argument reads standard
+input.  Output is deterministic: keys are sorted and identical
+invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .enumeration import (
     isf_tpoly,
     strong_logconcavity_check,
 )
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .graphs import Forest, OrderedGraph
 from .injection import psi, verify_psi
 from .stirling import (
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit(command, False, None, [str(exc)])
         return USAGE_ERROR
+    except InvariantViolation as exc:
+        _emit(command, False, None, [str(exc)])
+        return PROPERTY_FAILURE
     _emit(command, status == OK, payload, [])
     return status
 

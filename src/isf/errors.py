@@ -1,7 +1,9 @@
 """Exception types shared across the library.
 
-Everything derives from InputError (a ValueError) so callers can catch
-"bad input" wholesale while tests pin the precise class.
+Input errors derive from InputError (a ValueError) so callers can catch
+"bad input" wholesale while tests pin the precise class.  The one
+exception is InvariantViolation: it reports a broken internal invariant,
+never bad input.
 """
 
 
@@ -11,10 +13,6 @@ class InputError(ValueError):
 
 class CyclicInput(InputError):
     """An edge set that was required to be acyclic contains a circuit."""
-
-
-class NotAForest(InputError):
-    """Expected a forest."""
 
 
 class NotIncreasing(InputError):
@@ -47,3 +45,7 @@ class IndexViolation(InputError):
 
 class NonCanonicalCycle(InputError):
     """Permutation not in canonical cycle form (min-first, sorted by minima)."""
+
+
+class InvariantViolation(RuntimeError):
+    """A step of a proof's bookkeeping does not hold; never an input error."""

@@ -5,11 +5,18 @@ as pairs (i, j) with i < j.  A Forest always carries its ambient vertex
 count n and is spanning by convention: isolated vertices are singleton
 components.  Acyclicity is validated with union-find at construction time;
 invalid edge sets are rejected, never repaired.
+
+Rooting every component at its minimum gives a forest its parent vector
+(0 marks a root).  It is computed lazily, once per Forest, and everything
+about orientation (minima, increasingness, parents, children) is read off
+it.  An increasing forest is exactly a vector with 0 <= parent[v] < v, so
+such vectors build forests directly, without re-validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CyclicInput, InputError
 
@@ -40,6 +47,13 @@ class UnionFind:
         return True
 
 
+def _check_vertex_count(n) -> None:
+    if not isinstance(n, int):
+        raise InputError(f"vertex count must be an integer, got {n!r}")
+    if n < 0:
+        raise InputError(f"vertex count must be >= 0, got {n}")
+
+
 def _validated_edges(n: int, edges) -> frozenset:
     out = set()
     for e in edges:
@@ -55,6 +69,17 @@ def _validated_edges(n: int, edges) -> frozenset:
     return frozenset(out)
 
 
+def _n_and_edges(obj, what: str) -> tuple:
+    """(n, edges) from {'n': int, 'edges': [[i,j],...]}, shape-checked."""
+    if not (
+        isinstance(obj, dict) and "n" in obj
+        and isinstance(obj.get("edges"), list)
+        and all(isinstance(e, list) for e in obj["edges"])
+    ):
+        raise InputError(f"{what} JSON must be {{'n': int, 'edges': [[i,j],...]}}")
+    return obj["n"], frozenset(tuple(e) for e in obj["edges"])
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
     """Simple graph on vertices 1..n with the natural total order."""
@@ -63,8 +88,7 @@ class OrderedGraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"vertex count must be >= 0, got {self.n}")
+        _check_vertex_count(self.n)
         object.__setattr__(self, "edges", _validated_edges(self.n, self.edges))
 
     def smaller_neighbors(self, j: int) -> list:
@@ -83,9 +107,7 @@ class OrderedGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrderedGraph":
-        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-            raise InputError("graph JSON must be {'n': int, 'edges': [[i,j],...]}")
-        return cls(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
+        return cls(*_n_and_edges(obj, "graph"))
 
 
 @dataclass(frozen=True)
@@ -96,14 +118,59 @@ class Forest:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"vertex count must be >= 0, got {self.n}")
+        _check_vertex_count(self.n)
         edges = _validated_edges(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
         uf = UnionFind(self.n)
         for i, j in sorted(edges):
             if not uf.union(i, j):
                 raise CyclicInput(f"edge ({i},{j}) closes a circuit")
+
+    @classmethod
+    def from_parent(cls, parent: tuple) -> "Forest":
+        """The increasing forest whose minima-rooted parent vector is parent.
+
+        parent[0] is unused; every other entry needs 0 <= parent[v] < v.
+        """
+        for v in range(1, len(parent)):
+            if not 0 <= parent[v] < v:
+                raise InputError(
+                    f"parent vector entry {v} -> {parent[v]} is not 0 or below {v}"
+                )
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", len(parent) - 1)
+        object.__setattr__(
+            f, "edges", frozenset((p, v) for v, p in enumerate(parent) if p)
+        )
+        f.__dict__["parent"] = parent
+        return f
+
+    @cached_property
+    def parent(self) -> tuple:
+        """parent[v] when each component is rooted at its minimum; 0 at roots.
+
+        Index 0 is unused.  Defined for every forest, increasing or not.
+        """
+        adj = [[] for _ in range(self.n + 1)]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        parent = [0] * (self.n + 1)
+        seen = [False] * (self.n + 1)
+        for root in range(1, self.n + 1):
+            if seen[root]:
+                continue
+            # the first unseen vertex is the minimum of its component
+            seen[root] = True
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        parent[w] = u
+                        stack.append(w)
+        return tuple(parent)
 
     @property
     def sorted_edges(self) -> list:
@@ -120,9 +187,7 @@ class Forest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Forest":
-        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-            raise InputError("forest JSON must be {'n': int, 'edges': [[i,j],...]}")
-        return cls(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
+        return cls(*_n_and_edges(obj, "forest"))
 
 
 @dataclass(frozen=True)
@@ -150,42 +215,25 @@ class Orientation:
 
 def component_minima(f: Forest) -> frozenset:
     """m(f): the set of minimum vertices of the components of f."""
-    uf = UnionFind(f.n)
-    for i, j in f.edges:
-        uf.union(i, j)
-    return frozenset(v for v in range(1, f.n + 1) if uf.find(v) == v)
+    return frozenset(v for v, p in enumerate(f.parent) if v and not p)
 
 
 def orient(f: Forest) -> Orientation:
     """Root every component of f at its minimum vertex."""
-    adj = {v: [] for v in range(1, f.n + 1)}
-    for i, j in f.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    roots = component_minima(f)
-    parent: dict = {}
+    parent = {v: p for v, p in enumerate(f.parent) if p}
     children = {v: [] for v in range(1, f.n + 1)}
-    for r in sorted(roots):
-        stack = [r]
-        seen = {r}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = u
-                    children[u].append(w)
-                    stack.append(w)
+    for v, p in parent.items():
+        children[p].append(v)  # v increases, so every list comes out sorted
     return Orientation(
         parent=parent,
-        roots=roots,
-        children={v: tuple(sorted(ws)) for v, ws in children.items()},
+        roots=component_minima(f),
+        children={v: tuple(ws) for v, ws in children.items()},
     )
 
 
 def is_increasing(f: Forest) -> bool:
     """True iff labels increase along every root-to-leaf path."""
-    return all(p < v for v, p in orient(f).parent.items())
+    return all(f.parent[v] < v for v in range(1, f.n + 1))
 
 
 def complete_graph(n: int) -> OrderedGraph:

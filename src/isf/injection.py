@@ -7,6 +7,10 @@ A) from the minimum of j's component to j is moved from A to B.  Both
 outputs are again increasing, component counts shift by (+1, -1), and the
 map is injective.  The full trace of intermediate quantities is returned
 so tests and the CLI can expose each step.
+
+On parent vectors (see graphs) the move is one coordinate swap: the moved
+edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
+B[j] = A[j].
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .brackets import phi
-from .errors import NotIncreasing, NotInGraph, SizeViolation
-from .graphs import Forest, OrderedGraph, component_minima, is_increasing, orient
+from .errors import InvariantViolation, NotIncreasing, NotInGraph, SizeViolation
+from .graphs import Forest, OrderedGraph, component_minima, is_increasing
 from .enumeration import enumerate_if
 
 
@@ -27,7 +31,12 @@ def select_j(m_a, m_b, successor=phi) -> int:
         raise SizeViolation(
             f"need |m(A)| < |m(B)|, got {len(m_a)} >= {len(m_b)}"
         )
-    (j,) = successor(m_a ^ m_b, m_a - m_b) - (m_a - m_b)
+    added = successor(m_a ^ m_b, m_a - m_b) - (m_a - m_b)
+    if len(added) != 1:
+        raise InvariantViolation(
+            f"successor added {sorted(added)}, not exactly one element"
+        )
+    (j,) = added
     return j
 
 
@@ -61,20 +70,13 @@ class PsiTrace:
         }
 
 
-def _component_of(f: Forest, v: int) -> frozenset:
-    adj = {u: [] for u in range(1, f.n + 1)}
-    for i, j in f.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+def _component_of(parent: tuple, v: int) -> frozenset:
+    """The component of v in the increasing forest with this parent vector."""
+    root = list(range(len(parent)))
+    for u in range(1, len(parent)):
+        if parent[u]:
+            root[u] = root[parent[u]]  # parent[u] < u, so already resolved
+    return frozenset(u for u in range(1, len(parent)) if root[u] == root[v])
 
 
 def _validate_pair(g: OrderedGraph, f: Forest, name: str):
@@ -87,6 +89,11 @@ def _validate_pair(g: OrderedGraph, f: Forest, name: str):
         raise NotIncreasing(f"forest {name} is not increasing")
 
 
+def _check(holds: bool, claim: str) -> None:
+    if not holds:
+        raise InvariantViolation(f"psi bookkeeping failed: {claim}")
+
+
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
     _validate_pair(g, a, "A")
@@ -97,24 +104,22 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
             f"need components(A) < components(B), got {len(m_a)} >= {len(m_b)}"
         )
     j = select_j(m_a, m_b, successor=successor)
-    a_comp = _component_of(a, j)
-    b_comp = _component_of(b, j)
-    i0 = min(a_comp)
-    parent = orient(a).parent[j]  # exists: j is not a minimum of A
-    e = (parent, j)
-    a_out = Forest(a.n, a.edges - {e})
-    b_out = Forest(b.n, b.edges | {e})
-    trace = PsiTrace(
-        mA=m_a, mB=m_b, sym_diff=m_a ^ m_b, j=j, A_comp=a_comp,
-        B_comp=b_comp, i0=i0, e=e, A_out=a_out, B_out=b_out,
-    )
     # bookkeeping the injectivity proof relies on; cheap, so always checked
-    assert j in m_b - m_a and j == min(b_comp)
-    assert e in a.edges and e not in b.edges
-    assert component_minima(a_out) == m_a | {j}
-    assert component_minima(b_out) == m_b - {j}
-    assert is_increasing(a_out) and is_increasing(b_out)
-    return trace
+    _check(j in m_b - m_a, "j in m(B) - m(A)")
+    pa, pb = a.parent, b.parent
+    a_comp, b_comp = _component_of(pa, j), _component_of(pb, j)
+    e = (pa[j], j)
+    # the swap B[j] = A[j], A[j] = 0; from_parent checks both stay increasing
+    a_out = Forest.from_parent(pa[:j] + (0,) + pa[j + 1:])
+    b_out = Forest.from_parent(pb[:j] + (pa[j],) + pb[j + 1:])
+    _check(j == min(b_comp), "j = min of its component in B")
+    _check(e in a.edges and e not in b.edges, "e in A and e not in B")
+    _check(component_minima(a_out) == m_a | {j}, "m(A') = m(A) + j")
+    _check(component_minima(b_out) == m_b - {j}, "m(B') = m(B) - j")
+    return PsiTrace(
+        mA=m_a, mB=m_b, sym_diff=m_a ^ m_b, j=j, A_comp=a_comp,
+        B_comp=b_comp, i0=min(a_comp), e=e, A_out=a_out, B_out=b_out,
+    )
 
 
 class PsiReport(NamedTuple):
@@ -162,7 +167,7 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
             after = sorted(list(tr.A_out.edges) + list(tr.B_out.edges))
             if before != after:
                 weight_preserving = False
-            key = (tr.A_out.edges, tr.B_out.edges)
+            key = (tr.A_out.parent, tr.B_out.parent)
             if key in images:
                 collisions.append([images[key], (a, b)])
             else:

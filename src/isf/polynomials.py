@@ -147,10 +147,6 @@ class MultiPoly:
         return f"MultiPoly({' + '.join(parts)})"
 
 
-def nonneg_report(p: MultiPoly) -> NonnegReport:
-    return p.nonneg_report()
-
-
 def elementary_symmetric(n: int, k: int) -> MultiPoly:
     """e_k in the index variables 1..n: sum over k-subsets of their product."""
     if not 0 <= k <= n:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonCanonicalCycle, NotIncreasing, SizeViolation
+from .errors import InputError, NonCanonicalCycle, NotIncreasing, SizeViolation
 from .graphs import Forest, complete_graph, is_increasing, orient
 from .enumeration import enumerate_if
 from .injection import psi
@@ -79,6 +79,17 @@ class Permutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
+        if not (
+            isinstance(obj, dict) and isinstance(obj.get("n"), int)
+            and isinstance(obj.get("cycles"), list)
+            and all(
+                isinstance(c, list) and c and all(isinstance(v, int) for v in c)
+                for c in obj["cycles"]
+            )
+        ):
+            raise InputError(
+                "permutation JSON must be {'n': int, 'cycles': [[int,...],...]}"
+            )
         return cls(obj["n"], tuple(tuple(c) for c in obj["cycles"]))
 
 

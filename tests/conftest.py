@@ -5,6 +5,7 @@ full factorial enumeration) so the fast implementations are checked
 against genuinely independent computations.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 import pytest
@@ -42,6 +43,62 @@ def brute_force_increasing_forests(g, k):
         ),
         key=Forest.sort_key,
     )
+
+
+def reference_component(f, v):
+    """The vertex set of v's component, by BFS over f's edge list."""
+    seen, queue = {v}, deque([v])
+    while queue:
+        u = queue.popleft()
+        for i, j in f.edges:
+            w = j if i == u else i if j == u else None
+            if w is not None and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def reference_parent(f):
+    """Parent vector with every component rooted at its minimum (0 = root).
+
+    Finds each component by BFS over the edge list, then walks outwards
+    from its minimum, again by BFS over the edge list.
+    """
+    parent = [0] * (f.n + 1)
+    for v in range(1, f.n + 1):
+        root = min(reference_component(f, v))
+        if root != v:
+            continue
+        seen, queue = {root}, deque([root])
+        while queue:
+            u = queue.popleft()
+            for i, j in f.edges:
+                w = j if i == u else i if j == u else None
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    parent[w] = u
+                    queue.append(w)
+    return tuple(parent)
+
+
+def edge_set_psi(a, b, successor):
+    """The edge-moving map computed on edge sets, as a dict of trace fields.
+
+    Minima, components and the moved edge come from the BFS references
+    above; the outputs are A minus e and B plus e, validated as Forests.
+    """
+    pa = reference_parent(a)
+    m_a = frozenset(v for v in range(1, a.n + 1) if not pa[v])
+    m_b = frozenset(v for v in range(1, b.n + 1) if not reference_parent(b)[v])
+    (j,) = successor(m_a ^ m_b, m_a - m_b) - (m_a - m_b)
+    a_comp = reference_component(a, j)
+    e = (pa[j], j)
+    return {
+        "mA": m_a, "mB": m_b, "sym_diff": m_a ^ m_b, "j": j,
+        "A_comp": a_comp, "B_comp": reference_component(b, j),
+        "i0": min(a_comp), "e": e,
+        "A_out": Forest(a.n, a.edges - {e}), "B_out": Forest(b.n, b.edges | {e}),
+    }
 
 
 def brute_force_cycle_counts(n):

@@ -171,3 +171,44 @@ def test_stdin_input(capsys, monkeypatch):
     status, rep = run(capsys, "chromatic", "--graph", "-")
     assert status == 0
     assert rep["payload"]["poly"]["coeffs"] == [0, 2, -3, 1]
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": "3", "edges": []},
+    {"n": 3, "edges": [1]},
+    {"n": 3, "edges": "12"},
+    [3, []],
+])
+def test_malformed_graph_json_exit_code(capsys, tmp_path, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    status, rep = run(capsys, "chromatic", "--graph", str(path))
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"]
+
+
+@pytest.mark.parametrize("perm", [
+    {"n": 3},
+    {"cycles": [[1], [2], [3]]},
+    {"n": "3", "cycles": [[1], [2], [3]]},
+    {"n": 3, "cycles": [[1], [], [2, 3]]},
+    {"n": 3, "cycles": [[1, "2"], [3]]},
+])
+def test_malformed_permutation_json_exit_code(capsys, tmp_path, perm):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(perm))
+    status, rep = run(capsys, "stirling", "to-forest", "--perm", str(path))
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"]
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch, k3):
+    from isf import InvariantViolation
+
+    def broken(*args):
+        raise InvariantViolation("psi bookkeeping failed: test")
+
+    monkeypatch.setattr("isf.cli.verify_psi", broken)
+    status, rep = run(capsys, "verify", "psi", "--graph", k3, "--k", "1", "--l", "2")
+    assert status == 1 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"] == ["psi bookkeeping failed: test"]

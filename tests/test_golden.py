@@ -1,0 +1,25 @@
+"""Byte-for-byte CLI output on a fixed corpus.
+
+`golden/cases.json` maps a case name to its CLI arguments, with file
+arguments relative to `golden/`; `golden/<case>.stdout` is the exact
+stdout the CLI printed for it when the corpus was recorded.  Refactors
+must leave every one of these outputs unchanged.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from isf.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_stdout(case, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert main(CASES[case]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{case}.stdout").read_bytes()

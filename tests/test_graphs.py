@@ -7,9 +7,12 @@ from isf import (
     OrderedGraph,
     complete_graph,
     component_minima,
+    enumerate_if,
     is_increasing,
     orient,
 )
+from isf.enumeration import _forests_by_components
+from conftest import acyclic_subsets, reference_parent
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
 F2_EDGES = {(1, 2), (1, 8), (7, 8), (8, 9), (3, 5), (3, 6), (4, 6)}
@@ -61,15 +64,11 @@ def test_component_minima():
 
 def test_minima_plus_edges_is_n():
     # over all forests of K_4
-    from conftest import acyclic_subsets
-
     for f in acyclic_subsets(complete_graph(4)):
         assert len(component_minima(f)) + len(f.edges) == f.n
 
 
 def test_edge_removal_preserves_increasing():
-    from conftest import acyclic_subsets
-
     for f in acyclic_subsets(complete_graph(5)):
         if not is_increasing(f):
             continue
@@ -97,3 +96,43 @@ def test_json_round_trip():
 def test_json_rejects_with_diagnostic():
     with pytest.raises(InputError, match=r"\(2,5\)"):
         OrderedGraph.from_json({"n": 4, "edges": [[2, 5]]})
+
+
+def test_parent_matches_bfs_reference_on_k5():
+    forests = acyclic_subsets(complete_graph(5))
+    assert len(forests) == 291
+    assert any(not is_increasing(f) for f in forests)
+    for f in forests:
+        assert f.parent == reference_parent(f), sorted(f.edges)
+
+
+def test_parent_worked_forests():
+    assert F1.parent == (0, 0, 1, 0, 1, 3, 3, 4, 6, 4)
+    # non-increasing: 8 hangs below 1 and 7, 9 hang below 8
+    assert Forest(9, frozenset(F2_EDGES)).parent == (0, 0, 1, 0, 6, 3, 3, 8, 1, 8)
+    assert Forest(0).parent == (0,)
+
+
+def test_from_parent_round_trip():
+    for f in acyclic_subsets(complete_graph(5)):
+        if is_increasing(f):
+            g = Forest.from_parent(f.parent)
+            assert g == f and hash(g) == hash(f)
+            assert g.parent == f.parent
+
+
+def test_from_parent_rejects_non_increasing_vectors():
+    for bad in [(0, 1), (0, 0, 2), (0, 0, 3, 0), (0, -1)]:
+        with pytest.raises(InputError):
+            Forest.from_parent(bad)
+
+
+def test_parent_is_lazy_and_outside_equality():
+    _forests_by_components.cache_clear()  # other tests may have used them
+    for f in enumerate_if(complete_graph(4), 2):
+        assert "parent" not in vars(f)
+    f = Forest(3, frozenset({(1, 3)}))
+    g = Forest(3, frozenset({(1, 3)}))
+    assert f.parent == (0, 0, 0, 1)
+    assert "parent" in vars(f) and "parent" not in vars(g)
+    assert f == g and hash(f) == hash(g)

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import isf
 from isf import (
     Forest,
+    InputError,
+    InvariantViolation,
     NotIncreasing,
     NotInGraph,
     OrderedGraph,
@@ -13,12 +21,13 @@ from isf import (
     enumerate_if,
     is_increasing,
     orient,
+    phi,
     phi_reversed,
     psi,
     select_j,
     verify_psi,
 )
-from conftest import random_graph
+from conftest import edge_set_psi, random_graph, reference_parent
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -163,3 +172,61 @@ def test_outputs_increasing_and_counts_shift():
             assert is_increasing(tr.A_out) and is_increasing(tr.B_out)
             assert tr.A_out.component_count() == 3
             assert tr.B_out.component_count() == 3
+
+
+def _random_graphs():
+    # the same seeded graphs as test_verify_psi_random_graphs
+    rng = Random(20260826)
+    return [random_graph(rng, rng.randint(3, 6)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("successor", [phi, phi_reversed])
+def test_psi_matches_edge_set_oracle(successor):
+    for g in [K4, *_random_graphs()]:
+        for k in range(g.n):
+            for l in range(k + 1, g.n + 1):
+                for a in enumerate_if(g, k):
+                    for b in enumerate_if(g, l):
+                        tr = psi(g, a, b, successor=successor)
+                        want = edge_set_psi(a, b, successor)
+                        for f in fields(tr):
+                            assert getattr(tr, f.name) == want[f.name], f.name
+                        assert tr.A_out.parent == reference_parent(want["A_out"])
+                        assert tr.B_out.parent == reference_parent(want["B_out"])
+
+
+def _outside_successor(ground, subset):
+    # violates the successor axioms: adds an element outside the ground set
+    return frozenset(subset) | {max(ground) + 1}
+
+
+def test_invariant_violation_on_bad_successor():
+    a = Forest(3, frozenset({(1, 2), (1, 3)}))
+    with pytest.raises(InvariantViolation, match="j in m"):
+        psi(K3, a, Forest(3), successor=_outside_successor)
+    with pytest.raises(InvariantViolation):
+        psi(K3, a, Forest(3), successor=lambda ground, subset: frozenset(ground))
+    assert not issubclass(InvariantViolation, InputError)
+
+
+def test_invariant_violation_survives_optimize_flag():
+    script = """
+import sys
+from isf import Forest, InvariantViolation, complete_graph, psi
+if __debug__:
+    sys.exit("asserts are still on")
+a = Forest(3, frozenset({(1, 2), (1, 3)}))
+try:
+    psi(complete_graph(3), a, Forest(3),
+        successor=lambda g, s: frozenset(s) | {max(g) + 1})
+except InvariantViolation:
+    print("raised")
+"""
+    src = str(Path(isf.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
