@@ -17,7 +17,6 @@ from .chromatic import (
     has_perfect_elimination_order,
     is_admissible_goodvertex,
     is_nbc,
-    lex_edge_order,
     movable_edge_search,
     peo_isf_check,
     spanning_forests,
@@ -26,6 +25,7 @@ from .chromatic import (
 from .enumeration import (
     a_poly,
     enumerate_if,
+    isf_counts,
     isf_factorization_check,
     isf_tpoly,
     strong_logconcavity_check,

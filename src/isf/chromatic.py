@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InputError, NotInGraph
 from .graphs import Forest, OrderedGraph, UnionFind, orient
-from .enumeration import enumerate_if
+from .enumeration import isf_counts
 
 
 class BrokenCircuitConvention(Enum):
@@ -83,10 +83,6 @@ class IntPoly:
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
-
-
-def lex_edge_order(g: OrderedGraph) -> list:
-    return sorted(g.edges)
 
 
 def circuits(g: OrderedGraph) -> list:
@@ -189,7 +185,7 @@ def chromatic_polynomial(g: OrderedGraph, pivot: str = "first") -> IntPoly:
     """
     if not g.edges:
         return IntPoly.t_power(g.n)
-    order = lex_edge_order(g)
+    order = g.sorted_edges
     e = order[0] if pivot == "first" else order[-1]
     i, j = e
     deleted = OrderedGraph(g.n, g.edges - {e})
@@ -296,9 +292,11 @@ def peo_isf_check(g: OrderedGraph) -> PeoReport:
 
     The two are equal iff the natural vertex order is a perfect
     elimination order of g.  For a tree this means every j >= 2 has
-    exactly one smaller neighbour.
+    exactly one smaller neighbour.  The left side is counted through the
+    factorization, prod_j (t + d_j); the right side is deletion-contraction,
+    which knows nothing of it, so the two sides stay independent.
     """
-    lhs = IntPoly(tuple(len(enumerate_if(g, k)) for k in range(g.n + 1)))
+    lhs = IntPoly(isf_counts(g))
     rhs = chromatic_polynomial(g).reflected(g.n)
     return PeoReport(lhs == rhs, lhs, rhs)
 

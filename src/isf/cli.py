@@ -189,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isf",
         description="Increasing spanning forests: enumeration, injections, checks.",
     )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker hint; results never depend on it")
-    parser.add_argument("--output", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="increasing forests with k components")

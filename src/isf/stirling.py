@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NonCanonicalCycle, NotIncreasing, SizeViolation
 from .graphs import Forest, complete_graph, is_increasing, orient
-from .enumeration import enumerate_if
+from .enumeration import isf_counts
 from .injection import psi
 
 
@@ -131,9 +131,12 @@ class StirlingRow:
 
 
 def stirling_row(n: int) -> StirlingRow:
-    """c(n, k) counted via increasing forests of the complete graph."""
-    g = complete_graph(n)
-    unsigned = tuple(len(enumerate_if(g, k)) for k in range(n + 1))
+    """c(n, k) as the number of increasing forests of K_n with k components.
+
+    They are counted through the factorization, as the coefficients of
+    t(t + 1)...(t + n - 1); no forest is built.
+    """
+    unsigned = isf_counts(complete_graph(n))
     signed = tuple(
         (-1) ** (n - k) * unsigned[k] for k in range(n + 1)
     )

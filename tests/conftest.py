@@ -10,7 +10,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from isf import Forest, OrderedGraph, is_increasing
+from isf import (
+    Forest, MultiPoly, OrderedGraph, a_poly, enumerate_if, is_increasing,
+)
 from isf.graphs import UnionFind
 
 
@@ -43,6 +45,31 @@ def brute_force_increasing_forests(g, k):
         ),
         key=Forest.sort_key,
     )
+
+
+def enumerative_counts(g):
+    """|IF_k| for k = 0..n, by building every increasing forest."""
+    return tuple(len(enumerate_if(g, k)) for k in range(g.n + 1))
+
+
+def x_logconcavity_difference(g, p, q):
+    """a_p*a_q - a_{p-1}*a_{q+1} in the edge variables, from enumeration."""
+    return a_poly(g, p) * a_poly(g, q) - a_poly(g, p - 1) * a_poly(g, q + 1)
+
+
+def y_substituted(g, ypoly):
+    """ypoly with every y_j replaced by the sum of x_(i,j) over i < j in g."""
+    y = {
+        j: MultiPoly({((i, j),): 1 for i in g.smaller_neighbors(j)})
+        for j in range(1, g.n + 1)
+    }
+    out = MultiPoly.zero()
+    for m, c in ypoly.terms.items():
+        term = MultiPoly.const(c)
+        for j in m:
+            term = term * y[j]
+        out = out + term
+    return out
 
 
 def reference_component(f, v):

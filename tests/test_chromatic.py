@@ -13,13 +13,14 @@ from isf import (
     has_perfect_elimination_order,
     is_admissible_goodvertex,
     is_nbc,
-    lex_edge_order,
     movable_edge_search,
     peo_isf_check,
     spanning_forests,
     whitney_check,
 )
-from conftest import acyclic_subsets, all_edge_subsets, is_connected
+from conftest import (
+    acyclic_subsets, all_edge_subsets, enumerative_counts, is_connected,
+)
 
 # triangle on {2,3,4} plus the pendant edge (1,4)
 G33 = OrderedGraph(4, frozenset({(1, 4), (2, 4), (2, 3), (3, 4)}))
@@ -27,13 +28,6 @@ G33_RELABELED = OrderedGraph(4, frozenset({(1, 2), (2, 3), (2, 4), (3, 4)}))
 K3 = complete_graph(3)
 C4 = OrderedGraph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)}))
 C5 = OrderedGraph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}))
-
-
-def test_lex_edge_order():
-    g = OrderedGraph(4, frozenset({(2, 3), (1, 4), (3, 4), (2, 4)}))
-    assert lex_edge_order(g) == [(1, 4), (2, 3), (2, 4), (3, 4)]
-    assert lex_edge_order(OrderedGraph(2, frozenset({(1, 2)}))) == [(1, 2)]
-    assert lex_edge_order(K3) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_circuits():
@@ -161,6 +155,11 @@ def test_peo_examples():
     assert not peo_isf_check(C4).holds
     assert not peo_isf_check(C5).holds
     assert peo_isf_check(OrderedGraph(3)).holds
+
+
+def test_peo_lhs_matches_enumeration(graphs_on_5):
+    for g in graphs_on_5:
+        assert peo_isf_check(g).lhs == IntPoly(enumerative_counts(g))
 
 
 def test_peo_iff_smaller_neighbors_form_cliques():

@@ -154,6 +154,12 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_global_jobs_and_output_flags_are_gone(capsys):
+    assert main(["--jobs", "2", "phi", "--ground", "1,2,3", "--subset", "1"]) == 2
+    assert main(["--output", "json", "phi", "--ground", "1,2,3", "--subset", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_deterministic_output(capsys, k3):
     main(["poly", "--graph", k3])
     first = capsys.readouterr().out

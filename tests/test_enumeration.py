@@ -1,4 +1,5 @@
-from math import prod
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -11,11 +12,19 @@ from isf import (
     a_poly,
     complete_graph,
     enumerate_if,
+    isf_counts,
     isf_factorization_check,
     isf_tpoly,
     strong_logconcavity_check,
 )
-from conftest import all_edge_subsets, brute_force_increasing_forests
+from isf.enumeration import _lift_report, _y_difference
+from conftest import (
+    all_edge_subsets,
+    brute_force_increasing_forests,
+    enumerative_counts,
+    x_logconcavity_difference,
+    y_substituted,
+)
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -91,6 +100,66 @@ def test_total_count_product_formula():
         assert total == prod(
             1 + len(g.smaller_neighbors(j)) for j in range(1, g.n + 1)
         )
+
+
+def test_isf_counts_match_enumeration(graphs_on_5):
+    assert isf_counts(OrderedGraph(0)) == enumerative_counts(OrderedGraph(0)) == (1,)
+    for g in graphs_on_5:
+        assert isf_counts(g) == enumerative_counts(g)
+
+
+def _y_image(x_monomial):
+    """The y-monomial of an x-monomial, and prod_j multinomial(beta_j; alpha_.j)."""
+    beta = Counter(j for _, j in x_monomial)
+    multinomial = prod(factorial(b) for b in beta.values()) // prod(
+        factorial(a) for a in Counter(x_monomial).values()
+    )
+    return tuple(sorted(beta.elements())), multinomial
+
+
+def _check_logconcavity_against_x_expansion(g):
+    """Same report as the enumerative x-expansion, for every 0 < p <= q < n,
+    and every x-coefficient is its y-coefficient times the multinomials."""
+    for p in range(1, g.n):
+        for q in range(p, g.n):
+            x_diff = x_logconcavity_difference(g, p, q)
+            assert strong_logconcavity_check(g, p, q) == x_diff.nonneg_report()
+            y_terms = _y_difference(g, p, q).terms
+            images = set()
+            for m, c in x_diff.terms.items():
+                y_mono, multinomial = _y_image(m)
+                assert c == y_terms[y_mono] * multinomial
+                images.add(y_mono)
+            assert images == set(y_terms)
+
+
+def test_logconcavity_matches_x_expansion_all_graphs_on_5(graphs_on_5):
+    for g in graphs_on_5:
+        _check_logconcavity_against_x_expansion(g)
+
+
+def test_logconcavity_matches_x_expansion_k6():
+    _check_logconcavity_against_x_expansion(complete_graph(6))
+
+
+def test_lift_report_witness_against_every_lift():
+    # smaller neighbours: 2 -> {1}, 3 -> {1, 2}, 4 -> {2, 3}
+    g = OrderedGraph(4, frozenset({(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}))
+    y = MultiPoly.variable
+    ypoly = (
+        MultiPoly.const(5) * y(2) * y(3)
+        - MultiPoly.const(2) * y(4) * y(4)
+        - MultiPoly.const(3) * y(3) * y(4)
+        + y(3) * y(3)
+        - y(2) * y(4)
+    )
+    report = _lift_report(g, ypoly)
+    assert report == y_substituted(g, ypoly).nonneg_report()
+    # (1,2)(2,4) beats the lifts (1,3)(2,4), (1,3)(3,4), ... of -3*y3*y4
+    assert report.witness == (((1, 2), (2, 4)), -1)
+    nonneg = y(2) * y(3) + y(4) * y(4)
+    assert _lift_report(g, nonneg) == y_substituted(g, nonneg).nonneg_report()
+    assert _lift_report(g, nonneg).is_nonneg
 
 
 def test_logconcavity_examples():

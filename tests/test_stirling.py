@@ -15,7 +15,7 @@ from isf import (
     permutation_to_forest,
     stirling_row,
 )
-from conftest import brute_force_cycle_counts
+from conftest import brute_force_cycle_counts, enumerative_counts
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
 
@@ -78,6 +78,11 @@ def test_stirling_rows():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stirling_row_against_permutation_oracle(n):
     assert list(stirling_row(n).unsigned) == brute_force_cycle_counts(n)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_stirling_row_against_enumeration(n):
+    assert stirling_row(n).unsigned == enumerative_counts(complete_graph(n))
 
 
 def test_row_sums_and_boundary():
