@@ -7,6 +7,15 @@ two disagree on individual forests while producing the same per-component
 counts.  The good-vertex predicate is the rooted-forest reformulation of
 admissibility, and is the notion used by the movable-edge search.
 
+The hot paths work on raw edge sets and parent vectors; validated graphs
+and forests appear only at their inputs and outputs.  Deletion-contraction
+recurses on (n, edge set) pairs with a memo that lives for one call, and
+the public function keeps only a small cache of finished polynomials.
+Whitney's NBC forests are counted by backtracking over the sorted edges
+that tests each broken circuit when its last edge is added, so it never
+visits a superset of one.  Admissibility is read off the minima-rooted
+parent vector.
+
 Everything here is exact and sized for exhaustive checks on small graphs.
 """
 
@@ -18,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, NotInGraph
-from .graphs import Forest, OrderedGraph, UnionFind, orient
+from .graphs import Forest, OrderedGraph, UnionFind
 from .enumeration import isf_counts
 
 
@@ -145,13 +154,30 @@ def is_admissible_goodvertex(g: OrderedGraph, f: Forest) -> bool:
     """All vertices good: each child w is the smallest element of its
     branch B(w) adjacent to its parent in g."""
     _check_in_graph(g, f)
-    o = orient(f)
-    for v in range(1, g.n + 1):
-        nbrs = g.neighbors(v)
-        for w in o.children.get(v, ()):
-            candidates = [u for u in o.branch(w) if u in nbrs]
-            if min(candidates) != w:
+    return _all_vertices_good(f.parent, _neighbor_sets(g))
+
+
+def _neighbor_sets(g: OrderedGraph) -> list:
+    nbrs = [set() for _ in range(g.n + 1)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
+def _all_vertices_good(parent: tuple, nbrs: list) -> bool:
+    """No u < w in a branch B(w) is adjacent to parent(w).
+
+    parent is the minima-rooted parent vector of a forest inside the graph
+    whose neighbor sets are nbrs, so w itself is adjacent to parent(w), and
+    u lies in B(w) exactly when w is u or one of its non-root ancestors.
+    """
+    for u in range(1, len(parent)):
+        w = u
+        while parent[w]:
+            if u < w and parent[w] in nbrs[u]:
                 return False
+            w = parent[w]
     return True
 
 
@@ -176,31 +202,43 @@ def spanning_forests(g: OrderedGraph) -> list:
     return sorted(out, key=Forest.sort_key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def chromatic_polynomial(g: OrderedGraph, pivot: str = "first") -> IntPoly:
     """Exact chromatic polynomial by deletion-contraction.
 
     pivot selects the first or last edge in lexicographic order; the result
     must not depend on this choice.
     """
-    if not g.edges:
-        return IntPoly.t_power(g.n)
-    order = g.sorted_edges
-    e = order[0] if pivot == "first" else order[-1]
+    pick = {"first": min, "last": max}.get(pivot)
+    if pick is None:
+        raise InputError(f"unknown pivot {pivot!r}: use 'first' or 'last'")
+    return IntPoly(_deletion_contraction(g.n, g.edges, pick, {}))
+
+
+def _deletion_contraction(n: int, edges: frozenset, pick, memo: dict) -> tuple:
+    """Coefficients (t^0 first, all n + 1 of them) of P(G; t), where G has
+    vertices 1..n and these edges; memo holds the graphs already solved."""
+    if not edges:
+        return (0,) * n + (1,)
+    key = (n, edges)
+    if key in memo:
+        return memo[key]
+    e = pick(edges)
     i, j = e
-    deleted = OrderedGraph(g.n, g.edges - {e})
+    rest = edges - {e}
     # contract j into i, relabel vertices above j down by one
-    relabel = lambda v: i if v == j else (v - 1 if v > j else v)
-    contracted_edges = set()
-    for a, b in g.edges - {e}:
-        a2, b2 = relabel(a), relabel(b)
-        if a2 != b2:
-            contracted_edges.add((min(a2, b2), max(a2, b2)))
-    contracted = OrderedGraph(g.n - 1, frozenset(contracted_edges))
-    return (
-        chromatic_polynomial(deleted, pivot)
-        - chromatic_polynomial(contracted, pivot)
-    )
+    contracted = set()
+    for u, v in rest:
+        if v == j:
+            contracted.add((u, i) if u < i else (i, u))
+        elif u == j:
+            contracted.add((i, v - 1))
+        else:
+            contracted.add((u - (u > j), v - (v > j)))
+    deleted = _deletion_contraction(n, rest, pick, memo)
+    merged = _deletion_contraction(n - 1, frozenset(contracted), pick, memo)
+    memo[key] = out = tuple(d - c for d, c in zip(deleted, merged + (0,)))
+    return out
 
 
 class WhitneyReport(NamedTuple):
@@ -211,16 +249,44 @@ class WhitneyReport(NamedTuple):
 
 def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
     """Compare NBC forest counts per component number against the absolute
-    values of the chromatic polynomial coefficients."""
+    values of the chromatic polynomial coefficients.
+
+    The NBC forests are counted, not built: see `_nbc_counts`.
+    """
     convention = BrokenCircuitConvention.parse(convention)
-    counts = [0] * (g.n + 1)
-    bcs = broken_circuits(g, convention)
-    for f in spanning_forests(g):
-        if not any(bc <= f.edges for bc in bcs):
-            counts[f.component_count()] += 1
+    counts = _nbc_counts(g, broken_circuits(g, convention))
     p = chromatic_polynomial(g)
     coeffs = [abs(p.coefficient(k)) for k in range(g.n + 1)]
     return WhitneyReport(counts, coeffs, counts == coeffs)
+
+
+def _nbc_counts(g: OrderedGraph, bcs: list) -> list:
+    """counts[k] = number of k-component forests of g with no broken
+    circuit; bcs must be all broken circuits of g under one convention.
+
+    Backtracking adds edges in increasing order, so each edge set is met
+    once, by its sorted sequence.  A broken circuit is tested only when its
+    last edge is added; a set that contains it is cut there, so none of its
+    supersets is visited.  No separate cycle test is needed: every circuit
+    contains its broken circuit, so every set met is a forest.
+    """
+    edges = g.sorted_edges
+    index = {e: idx for idx, e in enumerate(edges)}
+    closing = [[] for _ in edges]  # bit masks of the bcs ending at each edge
+    for bc in bcs:
+        bits = [index[e] for e in bc]
+        closing[max(bits)].append(sum(1 << b for b in bits))
+    counts = [0] * (g.n + 1)
+
+    def extend(start: int, chosen: int, k: int):
+        counts[k] += 1
+        for idx in range(start, len(edges)):
+            grown = chosen | (1 << idx)
+            if not any(bc & grown == bc for bc in closing[idx]):
+                extend(idx + 1, grown, k - 1)
+
+    extend(0, 0, g.n)
+    return counts
 
 
 class MovableSearchReport(NamedTuple):
@@ -250,32 +316,37 @@ def apply_relabeling(g: OrderedGraph, perm) -> OrderedGraph:
 
 def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport:
     """Search every admissible pair (A, B), components(A) < components(B),
-    for an edge of A \\ B whose move keeps both forests admissible."""
+    for an edge of A \\ B whose move keeps both forests admissible.
+
+    A - e is a spanning forest of g, and so is B + e when e joins two
+    components of B.  So admissibility is decided once per spanning forest,
+    on its parent vector, and each candidate move is two look-ups.  Pairs
+    are visited, and failures listed, in the sorted order of the forests.
+    """
     if relabeling is not None:
         g = apply_relabeling(g, relabeling)
-    admissible = [
-        f for f in spanning_forests(g) if is_admissible_goodvertex(g, f)
-    ]
+    nbrs = _neighbor_sets(g)
+    forests = spanning_forests(g)
+    good = {f.edges: _all_vertices_good(f.parent, nbrs) for f in forests}
+    admissible = [f for f in forests if good[f.edges]]
     failures = []
     for a in admissible:
         for b in admissible:
             if a.component_count() >= b.component_count():
                 continue
-            if not _has_movable_edge(g, a, b):
+            if not _has_movable_edge(a, b, good):
                 failures.append((a, b))
     return MovableSearchReport(not failures, failures)
 
 
-def _has_movable_edge(g: OrderedGraph, a: Forest, b: Forest) -> bool:
+def _has_movable_edge(a: Forest, b: Forest, good: dict) -> bool:
+    uf = UnionFind(b.n)
+    for edge in b.edges:
+        uf.union(*edge)
     for e in sorted(a.edges - b.edges):
-        uf = UnionFind(g.n)
-        for edge in b.edges:
-            uf.union(*edge)
-        if not uf.union(*e):
+        if uf.find(e[0]) == uf.find(e[1]):
             continue  # adding e to B closes a circuit
-        a_out = Forest(g.n, a.edges - {e})
-        b_out = Forest(g.n, b.edges | {e})
-        if is_admissible_goodvertex(g, a_out) and is_admissible_goodvertex(g, b_out):
+        if good[a.edges - {e}] and good[b.edges | {e}]:
             return True
     return False
 

@@ -31,11 +31,13 @@ from .graphs import Forest, OrderedGraph
 from .polynomials import MultiPoly, NonnegReport, TPoly, elementary_symmetric
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _forests_by_components(g: OrderedGraph) -> dict:
     """All increasing spanning forests of g, grouped by component count.
 
-    Each group is sorted lexicographically on its sorted edge list.
+    Each group is sorted lexicographically on its sorted edge list.  The
+    cache is small: it only spares `enumerate_if`/`a_poly` calls for
+    several k on one graph from enumerating again.
     """
     choices = [[None] + g.smaller_neighbors(j) for j in range(1, g.n + 1)]
     groups: dict = {k: [] for k in range(g.n + 1)}

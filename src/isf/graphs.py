@@ -48,7 +48,9 @@ class UnionFind:
 
 
 def _check_vertex_count(n) -> None:
-    if not isinstance(n, int):
+    # `type(...) is int`, not isinstance: JSON true/false are bools, and
+    # bool is a subclass of int
+    if type(n) is not int:
         raise InputError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise InputError(f"vertex count must be >= 0, got {n}")
@@ -58,7 +60,7 @@ def _validated_edges(n: int, edges) -> frozenset:
     out = set()
     for e in edges:
         e = tuple(e)
-        if len(e) != 2 or not all(isinstance(v, int) for v in e):
+        if len(e) != 2 or not all(type(v) is int for v in e):
             raise InputError(f"malformed edge {e!r}")
         i, j = e
         if not (1 <= i < j <= n):
@@ -77,7 +79,7 @@ def _n_and_edges(obj, what: str) -> tuple:
         and all(isinstance(e, list) for e in obj["edges"])
     ):
         raise InputError(f"{what} JSON must be {{'n': int, 'edges': [[i,j],...]}}")
-    return obj["n"], frozenset(tuple(e) for e in obj["edges"])
+    return obj["n"], obj["edges"]
 
 
 @dataclass(frozen=True)

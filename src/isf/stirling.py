@@ -80,10 +80,10 @@ class Permutation:
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
         if not (
-            isinstance(obj, dict) and isinstance(obj.get("n"), int)
+            isinstance(obj, dict) and type(obj.get("n")) is int
             and isinstance(obj.get("cycles"), list)
             and all(
-                isinstance(c, list) and c and all(isinstance(v, int) for v in c)
+                isinstance(c, list) and c and all(type(v) is int for v in c)
                 for c in obj["cycles"]
             )
         ):

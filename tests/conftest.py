@@ -6,12 +6,18 @@ against genuinely independent computations.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
 from isf import (
-    Forest, MultiPoly, OrderedGraph, a_poly, enumerate_if, is_increasing,
+    Forest, IntPoly, MultiPoly, OrderedGraph, a_poly, broken_circuits,
+    enumerate_if, is_increasing, orient, spanning_forests,
+)
+from isf.chromatic import (
+    BrokenCircuitConvention, MovableSearchReport, WhitneyReport,
+    apply_relabeling,
 )
 from isf.graphs import UnionFind
 
@@ -126,6 +132,103 @@ def edge_set_psi(a, b, successor):
         "i0": min(a_comp), "e": e,
         "A_out": Forest(a.n, a.edges - {e}), "B_out": Forest(b.n, b.edges | {e}),
     }
+
+
+@lru_cache(maxsize=None)
+def reference_chromatic_polynomial(g, pivot="first"):
+    """Deletion-contraction that builds a validated OrderedGraph at every
+    node and memoizes across calls."""
+    if not g.edges:
+        return IntPoly.t_power(g.n)
+    order = g.sorted_edges
+    e = order[0] if pivot == "first" else order[-1]
+    i, j = e
+    deleted = OrderedGraph(g.n, g.edges - {e})
+    # contract j into i, relabel vertices above j down by one
+    relabel = lambda v: i if v == j else (v - 1 if v > j else v)
+    contracted_edges = set()
+    for a, b in g.edges - {e}:
+        a2, b2 = relabel(a), relabel(b)
+        if a2 != b2:
+            contracted_edges.add((min(a2, b2), max(a2, b2)))
+    contracted = OrderedGraph(g.n - 1, frozenset(contracted_edges))
+    return (
+        reference_chromatic_polynomial(deleted, pivot)
+        - reference_chromatic_polynomial(contracted, pivot)
+    )
+
+
+def enumerative_whitney(g, convention):
+    """Whitney report by testing every spanning forest against every
+    broken circuit."""
+    convention = BrokenCircuitConvention.parse(convention)
+    counts = [0] * (g.n + 1)
+    bcs = broken_circuits(g, convention)
+    for f in spanning_forests(g):
+        if not any(bc <= f.edges for bc in bcs):
+            counts[f.component_count()] += 1
+    p = reference_chromatic_polynomial(g)
+    coeffs = [abs(p.coefficient(k)) for k in range(g.n + 1)]
+    return WhitneyReport(counts, coeffs, counts == coeffs)
+
+
+def orient_goodvertex(g, f):
+    """Good-vertex admissibility from `orient` and explicit branches: each
+    child w is the smallest vertex of B(w) adjacent to its parent."""
+    o = orient(f)
+    for v in range(1, g.n + 1):
+        nbrs = g.neighbors(v)
+        for w in o.children.get(v, ()):
+            candidates = [u for u in o.branch(w) if u in nbrs]
+            if min(candidates) != w:
+                return False
+    return True
+
+
+def per_edge_movable_search(g, relabeling=None):
+    """Movable-edge search that rebuilds B's union-find for every candidate
+    edge and validates both moved forests before testing them."""
+    if relabeling is not None:
+        g = apply_relabeling(g, relabeling)
+    admissible = [f for f in spanning_forests(g) if orient_goodvertex(g, f)]
+
+    def has_movable_edge(a, b):
+        for e in sorted(a.edges - b.edges):
+            uf = UnionFind(g.n)
+            for edge in b.edges:
+                uf.union(*edge)
+            if not uf.union(*e):
+                continue
+            a_out = Forest(g.n, a.edges - {e})
+            b_out = Forest(g.n, b.edges | {e})
+            if orient_goodvertex(g, a_out) and orient_goodvertex(g, b_out):
+                return True
+        return False
+
+    failures = [
+        (a, b) for a in admissible for b in admissible
+        if a.component_count() < b.component_count()
+        and not has_movable_edge(a, b)
+    ]
+    return MovableSearchReport(not failures, failures)
+
+
+def band_graph(n, width):
+    """Edges (i, j) with 0 < j - i <= width."""
+    return OrderedGraph(n, frozenset(
+        (i, j) for i in range(1, n + 1)
+        for j in range(i + 1, min(n, i + width) + 1)
+    ))
+
+
+def petersen_graph():
+    """Outer 5-cycle 1..5, spokes i -- i + 5, inner pentagram 6..10."""
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(5 + i, 5 + (i + 1) % 5 + 1) for i in range(1, 6)]
+    return OrderedGraph(10, frozenset(
+        (min(e), max(e)) for e in outer + spokes + inner
+    ))
 
 
 def brute_force_cycle_counts(n):

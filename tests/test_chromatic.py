@@ -19,7 +19,9 @@ from isf import (
     whitney_check,
 )
 from conftest import (
-    acyclic_subsets, all_edge_subsets, enumerative_counts, is_connected,
+    acyclic_subsets, all_edge_subsets, band_graph, enumerative_counts,
+    enumerative_whitney, is_connected, orient_goodvertex,
+    per_edge_movable_search, petersen_graph, reference_chromatic_polynomial,
 )
 
 # triangle on {2,3,4} plus the pendant edge (1,4)
@@ -69,6 +71,50 @@ def test_chromatic_polynomials():
 def test_chromatic_pivot_independence():
     for g in all_edge_subsets(4):
         assert chromatic_polynomial(g, "first") == chromatic_polynomial(g, "last")
+
+
+def test_chromatic_rejects_unknown_pivot():
+    with pytest.raises(InputError):
+        chromatic_polynomial(K3, "middle")
+    with pytest.raises(InputError):
+        chromatic_polynomial(OrderedGraph(2), "First")
+
+
+def _oracle_graphs(graphs_on_5):
+    return [*graphs_on_5, petersen_graph(), band_graph(8, 3), band_graph(10, 2)]
+
+
+def test_chromatic_matches_per_node_oracle(graphs_on_5):
+    for g in _oracle_graphs(graphs_on_5):
+        for pivot in ("first", "last"):
+            assert chromatic_polynomial(g, pivot) == (
+                reference_chromatic_polynomial(g, pivot)
+            ), (g, pivot)
+
+
+def test_whitney_matches_enumerative_oracle(graphs_on_5):
+    for g in _oracle_graphs(graphs_on_5):
+        for convention in ("min", "max"):
+            assert whitney_check(g, convention) == (
+                enumerative_whitney(g, convention)
+            ), (g, convention)
+
+
+def test_admissible_matches_orient_oracle():
+    for g in [*all_edge_subsets(4), complete_graph(5)]:
+        for f in spanning_forests(g):
+            assert is_admissible_goodvertex(g, f) == orient_goodvertex(g, f), (
+                g, f,
+            )
+
+
+def test_movable_search_matches_per_edge_oracle():
+    for g in [*all_edge_subsets(4), complete_graph(5)]:
+        assert movable_edge_search(g) == per_edge_movable_search(g), g
+    for perm in ([1, 3, 4, 2], [4, 3, 2, 1]):
+        assert movable_edge_search(G33, perm) == (
+            per_edge_movable_search(G33, perm)
+        )
 
 
 def test_whitney_examples():

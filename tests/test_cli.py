@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isf.cli import main
 
@@ -193,7 +196,42 @@ def test_malformed_graph_json_exit_code(capsys, tmp_path, graph):
     assert rep["diagnostics"]
 
 
+def test_bool_vertex_count_is_rejected(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": True, "edges": []}))
+    status, rep = run(capsys, "chromatic", "--graph", str(path))
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"] == ["vertex count must be an integer, got True"]
+
+
+def test_bool_edge_endpoint_is_rejected(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[True, 2], [2, 3]]}))
+    status, rep = run(capsys, "enumerate", "--graph", str(path),
+                      "--components", "1")
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"] == ["malformed edge (True, 2)"]
+
+
+def test_bool_forest_edge_is_rejected(capsys, g33, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[True, 2]]}))
+    status, rep = run(capsys, "admissible", "--graph", g33, "--forest", str(path))
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"] == ["malformed edge (True, 2)"]
+
+
+def test_unhashable_edge_endpoint_is_rejected(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[[1], 2]]}))
+    status, rep = run(capsys, "chromatic", "--graph", str(path))
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"] == ["malformed edge ([1], 2)"]
+
+
 @pytest.mark.parametrize("perm", [
+    {"n": True, "cycles": [[1]]},
+    {"n": 2, "cycles": [[True], [2]]},
     {"n": 3},
     {"cycles": [[1], [2], [3]]},
     {"n": "3", "cycles": [[1], [2], [3]]},
@@ -218,3 +256,72 @@ def test_invariant_violation_exit_code(capsys, monkeypatch, k3):
     status, rep = run(capsys, "verify", "psi", "--graph", k3, "--k", "1", "--l", "2")
     assert status == 1 and not rep["ok"] and rep["payload"] is None
     assert rep["diagnostics"] == ["psi bookkeeping failed: test"]
+
+
+# --- fuzzing: any JSON document must give one report and exit 0, 1 or 2 ---
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 6),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2),
+)
+_junk = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "edges", "cycles"]), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+def _graph_on(n):
+    pairs = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = st.lists(st.sampled_from(pairs), unique_by=tuple) if pairs else (
+        st.just([]))
+    return edges.map(lambda es: {"n": n, "edges": es})
+
+
+_documents = st.one_of(
+    st.integers(0, 6).flatmap(_graph_on),
+    st.fixed_dictionaries({
+        "n": _scalars,
+        "edges": st.lists(st.lists(_junk, max_size=3) | _junk, max_size=4),
+    }),
+    _junk,
+)
+
+
+def _run_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_documents_give_one_json_report(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    graph = data.draw(_documents, label="graph")
+    edges = graph.get("edges") if isinstance(graph, dict) else None
+    if isinstance(edges, list) and edges and data.draw(st.booleans()):
+        # a sub-forest candidate of the graph, so admissible also gets to run
+        forest = {"n": graph.get("n"),
+                  "edges": data.draw(st.lists(st.sampled_from(edges), max_size=5))}
+    else:
+        forest = data.draw(_documents, label="forest")
+    (tmp / "g.json").write_text(json.dumps(graph))
+    (tmp / "f.json").write_text(json.dumps(forest))
+    g, f = str(tmp / "g.json"), str(tmp / "f.json")
+    convention = data.draw(st.sampled_from(["min", "max"]))
+    for argv in (
+        ["chromatic", "--graph", g],
+        ["check", "whitney", "--graph", g, "--convention", convention],
+        ["admissible", "--graph", g, "--forest", f],
+    ):
+        status, out = _run_in_process(argv)
+        assert status in (0, 1, 2), argv
+        assert out.endswith("\n") and out.count("\n") == 1, out
+        rep = json.loads(out)
+        assert sorted(rep) == ["command", "diagnostics", "ok", "payload"]
+        assert rep["ok"] == (status == 0)
+        if status == 2:
+            assert rep["payload"] is None and rep["diagnostics"]
