@@ -46,11 +46,9 @@ from .errors import (
 from .graphs import (
     Forest,
     OrderedGraph,
-    Orientation,
     complete_graph,
     component_minima,
     is_increasing,
-    orient,
 )
 from .injection import PsiTrace, psi, select_j, verify_psi
 from .polynomials import MultiPoly, TPoly, elementary_symmetric

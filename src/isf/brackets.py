@@ -1,12 +1,13 @@
 """Subset injection by parenthesis matching.
 
 For a ground set Y (sorted increasingly) and X a subset of Y with
-|X| < |Y|/2, write an open bracket at each position whose element lies in
+|X| < |Y|/2, read an open bracket at each position whose element lies in
 X and a close bracket elsewhere, match brackets left to right with a
 stack, and flip the rightmost unmatched close bracket to obtain a superset
-X' of X with one more element.  This is the successor step of a symmetric
-chain decomposition of the Boolean lattice, so it is injective for every
-fixed (|Y|, |X|).
+X' of X with one more element.  This is the successor step of a
+symmetric chain decomposition of the Boolean lattice, so it is injective
+for every fixed (|Y|, |X|).  One scan does the matching; it keeps only
+the unmatched positions, never the bracket string or the matched pairs.
 
 A second instantiation running the same algorithm over the reversed
 ground order is provided; the edge-moving injection must work with either,
@@ -15,53 +16,27 @@ since it may rely only on injectivity and X being contained in its image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation, NotASubset, NotInImage, SizeViolation
 
 
-@dataclass(frozen=True)
-class BracketState:
-    """Bracket string for (Y, X) with its matching.
-
-    Positions are 1-based into `elements`.  After stack matching, every
-    unmatched close position precedes every unmatched open position.
-    """
-
-    elements: tuple          # ground set in traversal order
-    string: tuple            # "(" / ")" per position
-    matched: frozenset       # frozenset of (open_pos, close_pos) pairs
-    unmatched_close: tuple   # positions, increasing
-    unmatched_open: tuple    # positions, increasing
-
-    @classmethod
-    def build(cls, elements, members) -> "BracketState":
-        elements = tuple(elements)
-        string = tuple("(" if e in members else ")" for e in elements)
-        stack = []
-        matched = set()
-        unmatched_close = []
-        for pos, ch in enumerate(string, start=1):
-            if ch == "(":
-                stack.append(pos)
-            elif stack:
-                matched.add((stack.pop(), pos))
-            else:
-                unmatched_close.append(pos)
-        state = cls(
-            elements=elements,
-            string=string,
-            matched=frozenset(matched),
-            unmatched_close=tuple(unmatched_close),
-            unmatched_open=tuple(stack),
+def _unmatched(elements: tuple, members) -> tuple:
+    """(unmatched close positions, unmatched open positions), 1-based and
+    increasing, after matching the brackets of (Y, X) left to right."""
+    closes, opens = [], []
+    for pos, e in enumerate(elements, start=1):
+        if e in members:
+            opens.append(pos)
+        elif opens:
+            opens.pop()
+        else:
+            closes.append(pos)
+    # chain invariant: closes before opens among unmatched positions
+    if closes and opens and closes[-1] > opens[0]:
+        raise InvariantViolation(
+            f"unmatched close at {closes[-1]} follows "
+            f"unmatched open at {opens[0]}"
         )
-        # chain invariant: closes before opens among unmatched positions
-        if unmatched_close and stack and unmatched_close[-1] > stack[0]:
-            raise InvariantViolation(
-                f"unmatched close at {unmatched_close[-1]} follows "
-                f"unmatched open at {stack[0]}"
-            )
-        return state
+    return closes, opens
 
 
 def _as_ground(ground) -> tuple:
@@ -83,17 +58,15 @@ def _bracket_successor(elements: tuple, sub: frozenset) -> frozenset:
         raise SizeViolation(
             f"need |X| < |Y|/2, got |X|={len(sub)}, |Y|={len(elements)}"
         )
-    state = BracketState.build(elements, sub)
-    pos = state.unmatched_close[-1]
-    return sub | {elements[pos - 1]}
+    closes, _ = _unmatched(elements, sub)
+    return sub | {elements[closes[-1] - 1]}
 
 
 def _bracket_predecessor(elements: tuple, sub: frozenset) -> frozenset:
-    state = BracketState.build(elements, sub)
-    if not state.unmatched_open:
+    _, opens = _unmatched(elements, sub)
+    if not opens:
         raise NotInImage(f"{sorted(sub)} has no unmatched open bracket")
-    pos = state.unmatched_open[0]
-    return sub - {elements[pos - 1]}
+    return sub - {elements[opens[0] - 1]}
 
 
 def phi(ground, subset) -> frozenset:

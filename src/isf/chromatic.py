@@ -26,8 +26,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError, NotInGraph
-from .graphs import Forest, OrderedGraph, UnionFind
+from .errors import InputError
+from .graphs import Forest, OrderedGraph, UnionFind, _check_forest_in_graph
 from .enumeration import isf_counts
 
 
@@ -60,26 +60,6 @@ class IntPoly:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def t_power(cls, m: int) -> "IntPoly":
-        return cls((0,) * m + (1,))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(size)
-            )
-        )
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if k < len(self.coeffs) else 0
@@ -138,22 +118,14 @@ def broken_circuits(g: OrderedGraph, convention) -> list:
 
 def is_nbc(g: OrderedGraph, f: Forest, convention) -> bool:
     """True iff f contains no broken circuit of g under the convention."""
-    _check_in_graph(g, f)
+    _check_forest_in_graph(g, f, "forest")
     return not any(bc <= f.edges for bc in broken_circuits(g, convention))
-
-
-def _check_in_graph(g: OrderedGraph, f: Forest):
-    if f.n != g.n:
-        raise NotInGraph(f"forest has n={f.n}, graph has n={g.n}")
-    extra = f.edges - g.edges
-    if extra:
-        raise NotInGraph(f"forest uses non-graph edges {sorted(extra)}")
 
 
 def is_admissible_goodvertex(g: OrderedGraph, f: Forest) -> bool:
     """All vertices good: each child w is the smallest element of its
     branch B(w) adjacent to its parent in g."""
-    _check_in_graph(g, f)
+    _check_forest_in_graph(g, f, "forest")
     return _all_vertices_good(f.parent, _neighbor_sets(g))
 
 

@@ -142,7 +142,7 @@ def _cmd_admissible(args):
 
 
 def _cmd_search_movable(args):
-    relabel = _int_set(args.relabel) if args.relabel else None
+    relabel = _int_set(args.relabel) if args.relabel is not None else None
     report = movable_edge_search(_graph(args.graph), relabel)
     return OK, report.to_json()
 

@@ -7,10 +7,10 @@ components.  Acyclicity is validated with union-find at construction time;
 invalid edge sets are rejected, never repaired.
 
 Rooting every component at its minimum gives a forest its parent vector
-(0 marks a root).  It is computed lazily, once per Forest, and everything
-about orientation (minima, increasingness, parents, children) is read off
-it.  An increasing forest is exactly a vector with 0 <= parent[v] < v, so
-such vectors build forests directly, without re-validation.
+(0 marks a root).  It is the one rooted form of a forest: computed lazily,
+once per Forest, with minima, increasingness and children all read off it.
+An increasing forest is exactly a vector with 0 <= parent[v] < v, so such
+vectors build forests directly, without re-validation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CyclicInput, InputError
+from .errors import CyclicInput, InputError, NotInGraph
 
 
 class UnionFind:
@@ -96,9 +96,6 @@ class OrderedGraph:
     def smaller_neighbors(self, j: int) -> list:
         """Neighbors i of j with i < j, sorted increasing."""
         return sorted(i for (i, jj) in self.edges if jj == j)
-
-    def neighbors(self, v: int) -> set:
-        return {j if i == v else i for (i, j) in self.edges if v in (i, j)}
 
     @property
     def sorted_edges(self) -> list:
@@ -192,45 +189,19 @@ class Forest:
         return cls(*_n_and_edges(obj, "forest"))
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """A forest rooted at component minima.
-
-    parent maps every non-root vertex to its parent; roots is the set of
-    component minima; children lists are sorted increasing.
-    """
-
-    parent: dict
-    roots: frozenset
-    children: dict
-
-    def branch(self, v: int) -> frozenset:
-        """B(v): v together with all of its descendants."""
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children.get(u, ()))
-        return frozenset(out)
-
-
 def component_minima(f: Forest) -> frozenset:
     """m(f): the set of minimum vertices of the components of f."""
     return frozenset(v for v, p in enumerate(f.parent) if v and not p)
 
 
-def orient(f: Forest) -> Orientation:
-    """Root every component of f at its minimum vertex."""
-    parent = {v: p for v, p in enumerate(f.parent) if p}
-    children = {v: [] for v in range(1, f.n + 1)}
-    for v, p in parent.items():
-        children[p].append(v)  # v increases, so every list comes out sorted
-    return Orientation(
-        parent=parent,
-        roots=component_minima(f),
-        children={v: tuple(ws) for v, ws in children.items()},
-    )
+def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:
+    """Raise NotInGraph unless f spans g's vertices and uses only its edges;
+    label names f in the message."""
+    if f.n != g.n:
+        raise NotInGraph(f"{label} has n={f.n}, graph has n={g.n}")
+    extra = f.edges - g.edges
+    if extra:
+        raise NotInGraph(f"{label} uses non-graph edges {sorted(extra)}")
 
 
 def is_increasing(f: Forest) -> bool:

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .brackets import phi
-from .errors import InvariantViolation, NotIncreasing, NotInGraph, SizeViolation
-from .graphs import Forest, OrderedGraph, component_minima, is_increasing
+from .errors import InvariantViolation, NotIncreasing, SizeViolation
+from .graphs import (
+    Forest, OrderedGraph, _check_forest_in_graph, component_minima, is_increasing,
+)
 from .enumeration import enumerate_if
 
 
@@ -79,16 +81,6 @@ def _component_of(parent: tuple, v: int) -> frozenset:
     return frozenset(u for u in range(1, len(parent)) if root[u] == root[v])
 
 
-def _validate_pair(g: OrderedGraph, f: Forest, name: str):
-    if f.n != g.n:
-        raise NotInGraph(f"forest {name} has n={f.n}, graph has n={g.n}")
-    extra = f.edges - g.edges
-    if extra:
-        raise NotInGraph(f"forest {name} uses non-graph edges {sorted(extra)}")
-    if not is_increasing(f):
-        raise NotIncreasing(f"forest {name} is not increasing")
-
-
 def _check(holds: bool, claim: str) -> None:
     if not holds:
         raise InvariantViolation(f"psi bookkeeping failed: {claim}")
@@ -96,8 +88,10 @@ def _check(holds: bool, claim: str) -> None:
 
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
-    _validate_pair(g, a, "A")
-    _validate_pair(g, b, "B")
+    for f, name in ((a, "A"), (b, "B")):
+        _check_forest_in_graph(g, f, f"forest {name}")
+        if not is_increasing(f):
+            raise NotIncreasing(f"forest {name} is not increasing")
     m_a, m_b = component_minima(a), component_minima(b)
     if len(m_a) >= len(m_b):
         raise SizeViolation(

@@ -4,8 +4,9 @@ Each tree of an increasing forest, rooted at its minimum, is traversed in
 preorder visiting children in decreasing label order; the visit sequence
 is one cycle.  This reproduces the counterclockwise contour reading of the
 planar drawing with children listed top to bottom by increasing label.
-The inverse reads each cycle word left to right and attaches every element
-to the nearest smaller element on its left.
+The children are read off the forest's parent vector.  The inverse reads
+each cycle word left to right: the nearest smaller element on the left of
+an element is its parent, so the words give the parent vector directly.
 
 Conjugating the edge-moving injection through this bijection breaks one
 cycle of the first permutation in two and glues two cycles of the second,
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, NonCanonicalCycle, NotIncreasing, SizeViolation
-from .graphs import Forest, complete_graph, is_increasing, orient
+from .graphs import Forest, _check_vertex_count, complete_graph, is_increasing
 from .enumeration import isf_counts
 from .injection import psi
 
@@ -33,6 +34,7 @@ class Permutation:
     cycles: tuple
 
     def __post_init__(self):
+        _check_vertex_count(self.n)
         cycles = tuple(tuple(c) for c in self.cycles)
         object.__setattr__(self, "cycles", cycles)
         flat = [v for c in cycles for v in c]
@@ -97,28 +99,29 @@ def forest_to_permutation(f: Forest) -> Permutation:
     """One cycle per tree: preorder from the root, children largest first."""
     if not is_increasing(f):
         raise NotIncreasing("bijection is only defined on increasing forests")
-    o = orient(f)
+    children = [[] for _ in range(f.n + 1)]  # children[0] lists the roots
+    for v in range(1, f.n + 1):
+        children[f.parent[v]].append(v)  # v increases, so lists come sorted
     cycles = []
-    for root in sorted(o.roots):
+    for root in children[0]:
         word = []
         stack = [root]
         while stack:
             v = stack.pop()
             word.append(v)
-            stack.extend(o.children[v])  # sorted ascending: popped descending
+            stack.extend(children[v])  # sorted ascending: popped descending
         cycles.append(tuple(word))
     return Permutation(f.n, tuple(cycles))
 
 
 def permutation_to_forest(p: Permutation) -> Forest:
     """Attach each cycle element to the nearest smaller element on its left."""
-    edges = set()
+    parent = [0] * (p.n + 1)
     for cycle in p.cycles:
-        for idx in range(1, len(cycle)):
+        for idx in range(1, len(cycle)):  # cycle[0] is the minimum: a root
             v = cycle[idx]
-            parent = next(u for u in reversed(cycle[:idx]) if u < v)
-            edges.add((parent, v))
-    return Forest(p.n, frozenset(edges))
+            parent[v] = next(u for u in reversed(cycle[:idx]) if u < v)
+    return Forest.from_parent(tuple(parent))
 
 
 @dataclass(frozen=True)

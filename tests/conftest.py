@@ -13,7 +13,7 @@ import pytest
 
 from isf import (
     Forest, IntPoly, MultiPoly, OrderedGraph, a_poly, broken_circuits,
-    enumerate_if, is_increasing, orient, spanning_forests,
+    enumerate_if, is_increasing, spanning_forests,
 )
 from isf.chromatic import (
     BrokenCircuitConvention, MovableSearchReport, WhitneyReport,
@@ -114,6 +114,18 @@ def reference_parent(f):
     return tuple(parent)
 
 
+def reference_branch(parent, w):
+    """B(w): every vertex whose walk up the parent vector meets w."""
+    out = set()
+    for u in range(1, len(parent)):
+        v = u
+        while v and v != w:
+            v = parent[v]
+        if v == w:
+            out.add(u)
+    return frozenset(out)
+
+
 def edge_set_psi(a, b, successor):
     """The edge-moving map computed on edge sets, as a dict of trace fields.
 
@@ -134,12 +146,19 @@ def edge_set_psi(a, b, successor):
     }
 
 
+def _subtract(p, q):
+    """p - q for IntPolys, coefficientwise on zero-padded tuples."""
+    size = max(len(p.coeffs), len(q.coeffs))
+    pad = lambda c: c + (0,) * (size - len(c))
+    return IntPoly(tuple(a - b for a, b in zip(pad(p.coeffs), pad(q.coeffs))))
+
+
 @lru_cache(maxsize=None)
 def reference_chromatic_polynomial(g, pivot="first"):
     """Deletion-contraction that builds a validated OrderedGraph at every
     node and memoizes across calls."""
     if not g.edges:
-        return IntPoly.t_power(g.n)
+        return IntPoly((0,) * g.n + (1,))
     order = g.sorted_edges
     e = order[0] if pivot == "first" else order[-1]
     i, j = e
@@ -152,9 +171,9 @@ def reference_chromatic_polynomial(g, pivot="first"):
         if a2 != b2:
             contracted_edges.add((min(a2, b2), max(a2, b2)))
     contracted = OrderedGraph(g.n - 1, frozenset(contracted_edges))
-    return (
-        reference_chromatic_polynomial(deleted, pivot)
-        - reference_chromatic_polynomial(contracted, pivot)
+    return _subtract(
+        reference_chromatic_polynomial(deleted, pivot),
+        reference_chromatic_polynomial(contracted, pivot),
     )
 
 
@@ -173,15 +192,19 @@ def enumerative_whitney(g, convention):
 
 
 def orient_goodvertex(g, f):
-    """Good-vertex admissibility from `orient` and explicit branches: each
-    child w is the smallest vertex of B(w) adjacent to its parent."""
-    o = orient(f)
-    for v in range(1, g.n + 1):
-        nbrs = g.neighbors(v)
-        for w in o.children.get(v, ()):
-            candidates = [u for u in o.branch(w) if u in nbrs]
-            if min(candidates) != w:
-                return False
+    """Good-vertex admissibility from the BFS rooting and explicit branches:
+    each child w is the smallest vertex of B(w) adjacent to its parent."""
+    parent = reference_parent(f)
+    for w in range(1, f.n + 1):
+        v = parent[w]
+        if not v:
+            continue
+        candidates = [
+            u for u in reference_branch(parent, w)
+            if (min(u, v), max(u, v)) in g.edges
+        ]
+        if min(candidates) != w:
+            return False
     return True
 
 

@@ -13,7 +13,7 @@ from isf import (
     phi_reversed,
     subset_pair_map,
 )
-from isf.brackets import BracketState
+from isf.brackets import _unmatched
 
 
 def test_phi_hand_traces():
@@ -105,14 +105,18 @@ def test_binomial_monotonicity_corollary():
 
 
 def test_bracket_state_chain_invariant():
-    state = BracketState.build((1, 2, 3, 4, 5), {2, 5})
-    assert state.string == (")", "(", ")", ")", "(")
-    assert state.matched == frozenset({(2, 3)})
-    assert state.unmatched_close == (1, 4)
-    assert state.unmatched_open == (5,)
-    assert all(
-        c < o for c in state.unmatched_close for o in state.unmatched_open
-    )
+    # ")()()" over 1..5 with X = {2, 5}: 2 matches 3, so 1 and 4 stay closes
+    closes, opens = _unmatched((1, 2, 3, 4, 5), {2, 5})
+    assert closes == [1, 4]
+    assert opens == [5]
+    for m in range(9):
+        ground = tuple(range(1, m + 1))
+        for k in range(m + 1):
+            for sub in combinations(ground, k):
+                closes, opens = _unmatched(ground, frozenset(sub))
+                assert all(c < o for c in closes for o in opens)
+                # each match removes one open and one close bracket
+                assert len(opens) - len(closes) == 2 * k - m
 
 
 def test_subset_pair_map_examples():

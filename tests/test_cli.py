@@ -145,6 +145,65 @@ def test_search_movable(capsys, g33):
     assert status == 0 and rep["payload"]["all_pairs_ok"]
 
 
+def test_search_movable_rejects_empty_relabeling(capsys, k3):
+    status, rep = run(capsys, "search-movable", "--graph", k3, "--relabel", "")
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    assert rep["diagnostics"] == ["relabeling [] is not a permutation of 1..3"]
+
+
+def _write_forests(tmp_path):
+    files = {
+        "k3": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
+        "p2": {"n": 3, "edges": [[1, 2]]},
+        "a4": {"n": 4, "edges": [[1, 2], [1, 3]]},
+        "a13": {"n": 3, "edges": [[1, 3]]},
+        "e3": {"n": 3, "edges": []},
+        "nonincr": {"n": 3, "edges": [[1, 3], [2, 3]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    ("psi --graph k3.json --forest-a a4.json --forest-b e3.json",
+     '{"command": "psi", "diagnostics": ["forest A has n=4, graph has n=3"], '
+     '"ok": false, "payload": null}\n'),
+    ("psi --graph k3.json --forest-a e3.json --forest-b a4.json",
+     '{"command": "psi", "diagnostics": ["forest B has n=4, graph has n=3"], '
+     '"ok": false, "payload": null}\n'),
+    ("psi --graph p2.json --forest-a a13.json --forest-b e3.json",
+     '{"command": "psi", "diagnostics": ["forest A uses non-graph edges '
+     '[(1, 3)]"], "ok": false, "payload": null}\n'),
+    ("psi --graph p2.json --forest-a p2.json --forest-b a13.json",
+     '{"command": "psi", "diagnostics": ["forest B uses non-graph edges '
+     '[(1, 3)]"], "ok": false, "payload": null}\n'),
+    ("psi --graph k3.json --forest-a nonincr.json --forest-b e3.json",
+     '{"command": "psi", "diagnostics": ["forest A is not increasing"], '
+     '"ok": false, "payload": null}\n'),
+    ("admissible --graph k3.json --forest a4.json",
+     '{"command": "admissible", "diagnostics": ["forest has n=4, graph has '
+     'n=3"], "ok": false, "payload": null}\n'),
+    ("admissible --graph p2.json --forest a13.json",
+     '{"command": "admissible", "diagnostics": ["forest uses non-graph edges '
+     '[(1, 3)]"], "ok": false, "payload": null}\n'),
+])
+def test_forest_in_graph_diagnostics(capsys, monkeypatch, tmp_path, argv, stdout):
+    _write_forests(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().out == stdout
+
+
+def test_negative_permutation_size_exit_code(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": -1, "cycles": []}))
+    assert main(["stirling", "to-forest", "--perm", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        '{"command": "stirling", "diagnostics": ["vertex count must be >= 0, '
+        'got -1"], "ok": false, "payload": null}\n'
+    )
+
+
 def test_bad_input_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "edges": [[2, 5]]}))

@@ -9,10 +9,9 @@ from isf import (
     component_minima,
     enumerate_if,
     is_increasing,
-    orient,
 )
 from isf.enumeration import _forests_by_components
-from conftest import acyclic_subsets, reference_parent
+from conftest import acyclic_subsets, reference_branch, reference_parent
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
 F2_EDGES = {(1, 2), (1, 8), (7, 8), (8, 9), (3, 5), (3, 6), (4, 6)}
@@ -33,21 +32,21 @@ def test_forest_rejects_circuit():
 
 
 def test_orient_star():
-    o = orient(Forest(3, frozenset({(1, 2), (1, 3)})))
-    assert o.roots == frozenset({1})
-    assert o.parent == {2: 1, 3: 1}
+    f = Forest(3, frozenset({(1, 2), (1, 3)}))
+    assert f.parent == reference_parent(f) == (0, 0, 1, 1)
+    assert component_minima(f) == frozenset({1})
 
 
 def test_orient_empty():
-    o = orient(Forest(3))
-    assert o.roots == frozenset({1, 2, 3})
-    assert o.parent == {}
+    f = Forest(3)
+    assert f.parent == reference_parent(f) == (0, 0, 0, 0)
+    assert component_minima(f) == frozenset({1, 2, 3})
 
 
 def test_orient_worked_forest():
-    o = orient(F1)
-    assert o.roots == frozenset({1, 3})
-    assert o.parent[7] == 4 and o.parent[9] == 4 and o.parent[8] == 6
+    assert F1.parent == reference_parent(F1)
+    assert component_minima(F1) == frozenset({1, 3})
+    assert F1.parent[7] == 4 and F1.parent[9] == 4 and F1.parent[8] == 6
 
 
 def test_is_increasing():
@@ -77,14 +76,14 @@ def test_edge_removal_preserves_increasing():
 
 
 def test_orient_deterministic():
-    a, b = orient(F1), orient(F1)
-    assert a.parent == b.parent and a.children == b.children
+    a = Forest(F1.n, F1.edges)  # a separate copy, rooted afresh
+    assert a.parent == F1.parent == reference_parent(a)
 
 
 def test_branch():
-    o = orient(F1)
-    assert o.branch(4) == frozenset({4, 7, 9})
-    assert o.branch(3) == frozenset({3, 5, 6, 8})
+    assert reference_branch(F1.parent, 4) == frozenset({4, 7, 9})
+    assert reference_branch(F1.parent, 3) == frozenset({3, 5, 6, 8})
+    assert reference_branch(reference_parent(F1), 4) == frozenset({4, 7, 9})
 
 
 def test_json_round_trip():

@@ -20,7 +20,6 @@ from isf import (
     component_minima,
     enumerate_if,
     is_increasing,
-    orient,
     phi,
     phi_reversed,
     psi,
@@ -97,10 +96,10 @@ def test_psi_last_edge_matches_path_oracle():
             for a in enumerate_if(K4, k):
                 for b in enumerate_if(K4, l):
                     tr = psi(K4, a, b)
-                    o = orient(a)
+                    parent = reference_parent(a)
                     path = [tr.j]
                     while path[-1] != tr.i0:
-                        path.append(o.parent[path[-1]])
+                        path.append(parent[path[-1]])
                     assert tr.e == (path[1], path[0])
 
 

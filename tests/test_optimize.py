@@ -1,0 +1,62 @@
+"""Proof bookkeeping must survive `python -O`.
+
+`-O` strips `assert` statements, so no check in `src/isf` may be one: the
+first test parses every module and fails on any `assert`.  The second
+replays the whole golden corpus in one `python -O` process and compares
+each output byte for byte with the recorded stdout.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import isf
+
+PACKAGE = Path(isf.__file__).resolve().parent
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
+
+
+REPLAY = """
+import contextlib, io, json, os, sys
+from isf.cli import main
+if __debug__:
+    sys.exit("asserts are still on")
+os.chdir(sys.argv[1])
+with open("cases.json") as fh:
+    cases = json.load(fh)
+differ = []
+for case in sorted(cases):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(cases[case])
+    with open(case + ".stdout", "rb") as fh:
+        if status != 0 or out.getvalue().encode() != fh.read():
+            differ.append(case)
+print(json.dumps({"cases": len(cases), "differ": differ}))
+"""
+
+
+def test_golden_corpus_is_byte_identical_under_optimize_flag():
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", REPLAY, str(GOLDEN)], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    assert json.loads(done.stdout) == {"cases": len(cases), "differ": []}

@@ -4,6 +4,7 @@ import pytest
 
 from isf import (
     Forest,
+    InputError,
     NonCanonicalCycle,
     NotIncreasing,
     Permutation,
@@ -28,6 +29,7 @@ def test_worked_forest_maps_to_worked_permutation():
 def test_empty_forest_is_identity():
     assert forest_to_permutation(Forest(3)) == Permutation.identity(3)
     assert permutation_to_forest(Permutation.identity(4)) == Forest(4)
+    assert permutation_to_forest(Permutation(0, ())) == Forest(0)
 
 
 def test_small_trees():
@@ -54,6 +56,17 @@ def test_canonical_form_enforced():
         Permutation(3, ((2, 3), (1,)))  # cycles not sorted by minima
     with pytest.raises(NonCanonicalCycle):
         Permutation(3, ((1, 2),))  # not a partition of 1..3
+
+
+@pytest.mark.parametrize("n, message", [
+    (-1, "vertex count must be >= 0, got -1"),
+    (2.0, "vertex count must be an integer, got 2.0"),
+    (True, "vertex count must be an integer, got True"),
+])
+def test_permutation_validates_vertex_count(n, message):
+    with pytest.raises(InputError) as err:
+        Permutation(n, ())
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n", range(0, 7))
