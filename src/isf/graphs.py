@@ -7,10 +7,10 @@ components.  Acyclicity is validated with union-find at construction time;
 invalid edge sets are rejected, never repaired.
 
 Rooting every component at its minimum gives a forest its parent vector
-(0 marks a root).  It is the one rooted form of a forest: computed lazily,
-once per Forest, with minima, increasingness and children all read off it.
-An increasing forest is exactly a vector with 0 <= parent[v] < v, so such
-vectors build forests directly, without re-validation.
+(0 marks a root), its one rooted form.  A Forest computes it lazily, once,
+and caches the minima, increasingness and component sets read off it.  An
+increasing forest is exactly a vector with 0 <= parent[v] < v, so such
+vectors build forests directly, in one scan that also yields the minima.
 """
 
 from __future__ import annotations
@@ -126,22 +126,30 @@ class Forest:
                 raise CyclicInput(f"edge ({i},{j}) closes a circuit")
 
     @classmethod
-    def from_parent(cls, parent: tuple) -> "Forest":
+    def from_parent(cls, parent) -> "Forest":
         """The increasing forest whose minima-rooted parent vector is parent.
 
-        parent[0] is unused; every other entry needs 0 <= parent[v] < v.
+        parent[0] must be 0 and every other entry 0 <= parent[v] < v.  One
+        scan checks this and collects the edges and the minima.
         """
+        parent = tuple(parent)
+        if parent[:1] != (0,):
+            raise InputError(f"parent vector must start with 0, got {parent!r}")
+        edges, minima = [], []
         for v in range(1, len(parent)):
-            if not 0 <= parent[v] < v:
+            p = parent[v]
+            if not p:
+                minima.append(v)
+            elif 0 < p < v:
+                edges.append((p, v))
+            else:
                 raise InputError(
-                    f"parent vector entry {v} -> {parent[v]} is not 0 or below {v}"
+                    f"parent vector entry {v} -> {p} is not 0 or below {v}"
                 )
         f = object.__new__(cls)
         object.__setattr__(f, "n", len(parent) - 1)
-        object.__setattr__(
-            f, "edges", frozenset((p, v) for v, p in enumerate(parent) if p)
-        )
-        f.__dict__["parent"] = parent
+        object.__setattr__(f, "edges", frozenset(edges))
+        f.__dict__.update(parent=parent, minima=frozenset(minima), increasing=True)
         return f
 
     @cached_property
@@ -171,6 +179,27 @@ class Forest:
                         stack.append(w)
         return tuple(parent)
 
+    @cached_property
+    def minima(self) -> frozenset:
+        """m(f): the minimum vertices of the components, i.e. the roots."""
+        return frozenset(v for v, p in enumerate(self.parent) if v and not p)
+
+    @cached_property
+    def increasing(self) -> bool:
+        """True iff labels increase along every root-to-leaf path."""
+        return all(self.parent[v] < v for v in range(1, self.n + 1))
+
+    @cached_property
+    def components(self) -> tuple:
+        """components[v] is the vertex set of v's component; index 0 is empty."""
+        root = list(range(self.n + 1))
+        for v in range(1, self.n + 1):
+            while self.parent[root[v]]:
+                root[v] = self.parent[root[v]]
+        sets = {r: frozenset(v for v, rv in enumerate(root) if rv == r)
+                for r in self.minima}
+        return tuple(sets.get(r, frozenset()) for r in root)
+
     @property
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -191,7 +220,7 @@ class Forest:
 
 def component_minima(f: Forest) -> frozenset:
     """m(f): the set of minimum vertices of the components of f."""
-    return frozenset(v for v, p in enumerate(f.parent) if v and not p)
+    return f.minima
 
 
 def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:
@@ -206,7 +235,7 @@ def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:
 
 def is_increasing(f: Forest) -> bool:
     """True iff labels increase along every root-to-leaf path."""
-    return all(f.parent[v] < v for v in range(1, f.n + 1))
+    return f.increasing
 
 
 def complete_graph(n: int) -> OrderedGraph:

@@ -10,19 +10,18 @@ so tests and the CLI can expose each step.
 
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
-B[j] = A[j].
+B[j] = A[j].  Everything else psi needs of an input forest is cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .brackets import phi
 from .errors import InvariantViolation, NotIncreasing, SizeViolation
-from .graphs import (
-    Forest, OrderedGraph, _check_forest_in_graph, component_minima, is_increasing,
-)
+from .graphs import Forest, OrderedGraph, _check_forest_in_graph
 from .enumeration import enumerate_if
 
 
@@ -72,15 +71,6 @@ class PsiTrace:
         }
 
 
-def _component_of(parent: tuple, v: int) -> frozenset:
-    """The component of v in the increasing forest with this parent vector."""
-    root = list(range(len(parent)))
-    for u in range(1, len(parent)):
-        if parent[u]:
-            root[u] = root[parent[u]]  # parent[u] < u, so already resolved
-    return frozenset(u for u in range(1, len(parent)) if root[u] == root[v])
-
-
 def _check(holds: bool, claim: str) -> None:
     if not holds:
         raise InvariantViolation(f"psi bookkeeping failed: {claim}")
@@ -90,26 +80,26 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
     for f, name in ((a, "A"), (b, "B")):
         _check_forest_in_graph(g, f, f"forest {name}")
-        if not is_increasing(f):
+        if not f.increasing:
             raise NotIncreasing(f"forest {name} is not increasing")
-    m_a, m_b = component_minima(a), component_minima(b)
+    m_a, m_b = a.minima, b.minima
     if len(m_a) >= len(m_b):
         raise SizeViolation(
             f"need components(A) < components(B), got {len(m_a)} >= {len(m_b)}"
         )
     j = select_j(m_a, m_b, successor=successor)
     # bookkeeping the injectivity proof relies on; cheap, so always checked
-    _check(j in m_b - m_a, "j in m(B) - m(A)")
+    _check(j in m_b and j not in m_a, "j in m(B) - m(A)")
     pa, pb = a.parent, b.parent
-    a_comp, b_comp = _component_of(pa, j), _component_of(pb, j)
+    a_comp, b_comp = a.components[j], b.components[j]
     e = (pa[j], j)
     # the swap B[j] = A[j], A[j] = 0; from_parent checks both stay increasing
     a_out = Forest.from_parent(pa[:j] + (0,) + pa[j + 1:])
     b_out = Forest.from_parent(pb[:j] + (pa[j],) + pb[j + 1:])
     _check(j == min(b_comp), "j = min of its component in B")
     _check(e in a.edges and e not in b.edges, "e in A and e not in B")
-    _check(component_minima(a_out) == m_a | {j}, "m(A') = m(A) + j")
-    _check(component_minima(b_out) == m_b - {j}, "m(B') = m(B) - j")
+    _check(a_out.minima == m_a | {j}, "m(A') = m(A) + j")
+    _check(b_out.minima == m_b - {j}, "m(B') = m(B) - j")
     return PsiTrace(
         mA=m_a, mB=m_b, sym_diff=m_a ^ m_b, j=j, A_comp=a_comp,
         B_comp=b_comp, i0=min(a_comp), e=e, A_out=a_out, B_out=b_out,
@@ -145,25 +135,24 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
     local = True
     weight_preserving = True
     total = 0
-    for a in enumerate_if(g, k):
-        for b in enumerate_if(g, l):
-            total += 1
-            tr = psi(g, a, b, successor=successor)
-            e = tr.e
-            if not (
-                e in a.edges
-                and e not in b.edges
-                and tr.A_out.edges == a.edges - {e}
-                and tr.B_out.edges == b.edges | {e}
-            ):
-                local = False
-            before = sorted(list(a.edges) + list(b.edges))
-            after = sorted(list(tr.A_out.edges) + list(tr.B_out.edges))
-            if before != after:
-                weight_preserving = False
-            key = (tr.A_out.parent, tr.B_out.parent)
-            if key in images:
-                collisions.append([images[key], (a, b)])
-            else:
-                images[key] = (a, b)
+    for a, b in product(enumerate_if(g, k), enumerate_if(g, l)):
+        total += 1
+        tr = psi(g, a, b, successor=successor)
+        e = tr.e
+        if not (
+            e in a.edges
+            and e not in b.edges
+            and tr.A_out.edges == a.edges - {e}
+            and tr.B_out.edges == b.edges | {e}
+        ):
+            local = False
+        before = sorted(list(a.edges) + list(b.edges))
+        after = sorted(list(tr.A_out.edges) + list(tr.B_out.edges))
+        if before != after:
+            weight_preserving = False
+        key = (tr.A_out.parent, tr.B_out.parent)
+        if key in images:
+            collisions.append([images[key], (a, b)])
+        else:
+            images[key] = (a, b)
     return PsiReport(total, not collisions, local, weight_preserving, collisions)

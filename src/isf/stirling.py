@@ -56,6 +56,8 @@ class Permutation:
     def from_mapping(cls, mapping: dict) -> "Permutation":
         """Canonicalize a vertex->image mapping of 1..n into cycle form."""
         n = len(mapping)
+        if not set(mapping) == set(mapping.values()) == set(range(1, n + 1)):
+            raise InputError(f"mapping {mapping!r} is not a bijection of 1..{n}")
         seen = set()
         cycles = []
         for start in range(1, n + 1):
@@ -121,7 +123,7 @@ def permutation_to_forest(p: Permutation) -> Forest:
         for idx in range(1, len(cycle)):  # cycle[0] is the minimum: a root
             v = cycle[idx]
             parent[v] = next(u for u in reversed(cycle[:idx]) if u < v)
-    return Forest.from_parent(tuple(parent))
+    return Forest.from_parent(parent)
 
 
 @dataclass(frozen=True)

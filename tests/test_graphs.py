@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from isf import (
@@ -11,7 +13,10 @@ from isf import (
     is_increasing,
 )
 from isf.enumeration import _forests_by_components
-from conftest import acyclic_subsets, reference_branch, reference_parent
+from conftest import (
+    acyclic_subsets, random_graph, reference_branch, reference_component,
+    reference_parent,
+)
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
 F2_EDGES = {(1, 2), (1, 8), (7, 8), (8, 9), (3, 5), (3, 6), (4, 6)}
@@ -113,17 +118,49 @@ def test_parent_worked_forests():
 
 
 def test_from_parent_round_trip():
-    for f in acyclic_subsets(complete_graph(5)):
-        if is_increasing(f):
-            g = Forest.from_parent(f.parent)
-            assert g == f and hash(g) == hash(f)
-            assert g.parent == f.parent
+    # every ISF of K5 and of one seeded graph, against a freshly validated
+    # Forest whose rooted data is computed from its edges
+    for g in [complete_graph(5), random_graph(Random(20261018), 7)]:
+        for k in range(g.n + 1):
+            for f in enumerate_if(g, k):
+                built = Forest.from_parent(f.parent)
+                fresh = Forest(f.n, f.edges)
+                assert built == fresh and hash(built) == hash(fresh)
+                assert built.parent == fresh.parent
+                assert built.minima == fresh.minima
+                assert built.increasing and fresh.increasing
+                assert built.components == fresh.components
 
 
 def test_from_parent_rejects_non_increasing_vectors():
     for bad in [(0, 1), (0, 0, 2), (0, 0, 3, 0), (0, -1)]:
         with pytest.raises(InputError):
             Forest.from_parent(bad)
+
+
+def test_from_parent_rejects_malformed_vectors():
+    # (5, 0, 1) would otherwise read as a 2-vertex forest with edge (5, 0)
+    for bad in [(5, 0, 1), (), [1, 0], (None,)]:
+        with pytest.raises(InputError, match="must start with 0"):
+            Forest.from_parent(bad)
+    f = Forest.from_parent([0, 0, 1])
+    assert type(f.parent) is tuple and f.parent == (0, 0, 1)
+    assert f == Forest(2, frozenset({(1, 2)}))
+
+
+def test_cached_rooted_data_matches_bfs_reference_on_k5():
+    forests = acyclic_subsets(complete_graph(5))
+    assert len(forests) == 291
+    for f in forests:
+        parent = reference_parent(f)
+        assert f.minima == frozenset(v for v in range(1, 6) if not parent[v])
+        assert f.increasing == all(parent[v] < v for v in range(1, 6))
+        assert f.components[0] == frozenset()
+        for v in range(1, 6):
+            assert f.components[v] == reference_component(f, v), (f.edges, v)
+        assert component_minima(f) is f.minima
+        assert is_increasing(f) is f.increasing
+        assert {"minima", "increasing", "components"} <= set(vars(f))
 
 
 def test_parent_is_lazy_and_outside_equality():

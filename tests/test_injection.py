@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -206,6 +207,26 @@ def test_invariant_violation_on_bad_successor():
     with pytest.raises(InvariantViolation):
         psi(K3, a, Forest(3), successor=lambda ground, subset: frozenset(ground))
     assert not issubclass(InvariantViolation, InputError)
+
+
+@pytest.mark.parametrize("claim, b_edges, a_cache, b_cache", [
+    ("j = min of its component in B", (), {},
+     {"components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}),
+    ("e in A and e not in B", ((1, 3),), {},
+     {"parent": (0, 0, 0, 0), "minima": frozenset({1, 2, 3})}),
+    ("m(A') = m(A) + j", (), {"minima": frozenset({1, 2})}, {}),
+    ("m(B') = m(B) - j", (), {},
+     {"parent": (0, 0, 1, 0), "minima": frozenset({1, 2, 3})}),
+])
+def test_each_bookkeeping_check_fires(claim, b_edges, a_cache, b_cache):
+    # With consistent forests these claims are theorems, so each is reached
+    # by planting wrong rooted data in a forest's cache.
+    a = Forest(3, frozenset({(1, 2), (1, 3)}))
+    b = Forest(3, frozenset(b_edges))
+    vars(a).update(a_cache)
+    vars(b).update(b_cache)
+    with pytest.raises(InvariantViolation, match=re.escape(claim)):
+        psi(K3, a, b)
 
 
 def test_invariant_violation_survives_optimize_flag():

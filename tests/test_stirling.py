@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -67,6 +69,31 @@ def test_permutation_validates_vertex_count(n, message):
     with pytest.raises(InputError) as err:
         Permutation(n, ())
     assert str(err.value) == message
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mapping", [
+    {1: 2, 2: 2},    # not injective: the cycle walk never returns to 1
+    {1: 3, 2: 1},    # 3 is no vertex: the walk would look up mapping[3]
+    {0: 1, 1: 0},    # keys are not 1..n
+    {1: 1, 3: 3},    # 2 is missing: the walk would look up mapping[2]
+])
+def test_from_mapping_rejects_non_bijections(mapping):
+    with _time_limit(1), pytest.raises(InputError, match="not a bijection"):
+        Permutation.from_mapping(mapping)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
