@@ -8,9 +8,9 @@ counts.  The good-vertex predicate is the rooted-forest reformulation of
 admissibility, and is the notion used by the movable-edge search.
 
 The hot paths work on raw edge sets and parent vectors; validated graphs
-and forests appear only at their inputs and outputs.  Deletion-contraction
-recurses on (n, edge set) pairs with a memo that lives for one call, and
-the public function keeps only a small cache of finished polynomials.
+and forests appear only at their inputs and outputs.  The chromatic
+polynomial is a frontier DP over the vertex order (Noble, CPC 1998, for
+bounded tree-width): it reads only adjacency and never recurses.
 Whitney's NBC forests are counted by backtracking over the sorted edges
 that tests each broken circuit when its last edge is added, so it never
 visits a superset of one.  Admissibility is read off the minima-rooted
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .errors import InputError
@@ -175,42 +176,40 @@ def spanning_forests(g: OrderedGraph) -> list:
 
 
 @lru_cache(maxsize=64)
-def chromatic_polynomial(g: OrderedGraph, pivot: str = "first") -> IntPoly:
-    """Exact chromatic polynomial by deletion-contraction.
+def chromatic_polynomial(g: OrderedGraph) -> IntPoly:
+    """Exact chromatic polynomial by one pass over the vertex order.
 
-    pivot selects the first or last edge in lexicographic order; the result
-    must not depend on this choice.
+    A state partitions the placed vertices with a later neighbour into
+    colour classes; its coefficients (t^0 first, padded to one more than
+    the placed vertices) count the colourings of those that induce it.
+    Vertex v joins a class with no neighbour of v, or takes one of the
+    t - (number of classes) colours that no class has.
     """
-    pick = {"first": min, "last": max}.get(pivot)
-    if pick is None:
-        raise InputError(f"unknown pivot {pivot!r}: use 'first' or 'last'")
-    return IntPoly(_deletion_contraction(g.n, g.edges, pick, {}))
-
-
-def _deletion_contraction(n: int, edges: frozenset, pick, memo: dict) -> tuple:
-    """Coefficients (t^0 first, all n + 1 of them) of P(G; t), where G has
-    vertices 1..n and these edges; memo holds the graphs already solved."""
-    if not edges:
-        return (0,) * n + (1,)
-    key = (n, edges)
-    if key in memo:
-        return memo[key]
-    e = pick(edges)
-    i, j = e
-    rest = edges - {e}
-    # contract j into i, relabel vertices above j down by one
-    contracted = set()
-    for u, v in rest:
-        if v == j:
-            contracted.add((u, i) if u < i else (i, u))
-        elif u == j:
-            contracted.add((i, v - 1))
-        else:
-            contracted.add((u - (u > j), v - (v > j)))
-    deleted = _deletion_contraction(n, rest, pick, memo)
-    merged = _deletion_contraction(n - 1, frozenset(contracted), pick, memo)
-    memo[key] = out = tuple(d - c for d, c in zip(deleted, merged + (0,)))
-    return out
+    last = [0] * (g.n + 1)  # last[u] = u's largest neighbour, 0 if none
+    earlier = [set() for _ in range(g.n + 1)]
+    for i, j in g.edges:
+        last[i] = max(last[i], j)
+        earlier[j].add(i)
+    isolated, states = 0, {frozenset(): (1,)}
+    for v in range(1, g.n + 1):
+        if not last[v] and not earlier[v]:
+            isolated += 1  # a factor t, kept out of every state's weight
+            continue
+        leaving = {u for u in earlier[v] | {v} if last[u] <= v}
+        grown = {}
+        for classes, coeffs in states.items():
+            k = len(classes)
+            joined = (*coeffs, 0)
+            opened = tuple(s - k * c for s, c in zip((0, *coeffs), joined))
+            options = [(c, joined) for c in classes if not c & earlier[v]]
+            for c, weight in [(frozenset(), opened), *options]:
+                new = classes - {c} | {c | {v}}
+                key = frozenset(d - leaving for d in new) - {frozenset()}
+                if key in grown:
+                    weight = tuple(map(add, grown[key], weight))
+                grown[key] = weight
+        states = grown
+    return IntPoly((0,) * isolated + states[frozenset()])
 
 
 class WhitneyReport(NamedTuple):
@@ -336,8 +335,9 @@ def peo_isf_check(g: OrderedGraph) -> PeoReport:
     The two are equal iff the natural vertex order is a perfect
     elimination order of g.  For a tree this means every j >= 2 has
     exactly one smaller neighbour.  The left side is counted through the
-    factorization, prod_j (t + d_j); the right side is deletion-contraction,
-    which knows nothing of it, so the two sides stay independent.
+    factorization, prod_j (t + d_j); the right side is the colouring DP of
+    `chromatic_polynomial`, which reads only the edges and knows nothing
+    of d_j, so the two sides stay independent.
     """
     lhs = IntPoly(isf_counts(g))
     rhs = chromatic_polynomial(g).reflected(g.n)

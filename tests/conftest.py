@@ -5,7 +5,9 @@ full factorial enumeration) so the fast implementations are checked
 against genuinely independent computations.
 """
 
+import signal
 from collections import deque
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -20,6 +22,21 @@ from isf.chromatic import (
     apply_relabeling,
 )
 from isf.graphs import UnionFind
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds, so a
+    regression to a hang fails instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def all_edge_subsets(n):

@@ -1,5 +1,10 @@
+import json
+from math import comb
+from random import Random
+
 import pytest
 
+import isf.chromatic
 from isf import (
     Forest,
     InputError,
@@ -18,10 +23,13 @@ from isf import (
     spanning_forests,
     whitney_check,
 )
+from isf.chromatic import apply_relabeling
+from isf.cli import main
 from conftest import (
     acyclic_subsets, all_edge_subsets, band_graph, enumerative_counts,
     enumerative_whitney, is_connected, orient_goodvertex,
     per_edge_movable_search, petersen_graph, reference_chromatic_polynomial,
+    time_limit,
 )
 
 # triangle on {2,3,4} plus the pendant edge (1,4)
@@ -68,28 +76,99 @@ def test_chromatic_polynomials():
     assert chromatic_polynomial(OrderedGraph(2)) == IntPoly((0, 0, 1))
 
 
-def test_chromatic_pivot_independence():
-    for g in all_edge_subsets(4):
-        assert chromatic_polynomial(g, "first") == chromatic_polynomial(g, "last")
-
-
-def test_chromatic_rejects_unknown_pivot():
-    with pytest.raises(InputError):
-        chromatic_polynomial(K3, "middle")
-    with pytest.raises(InputError):
-        chromatic_polynomial(OrderedGraph(2), "First")
+def _relabelings(g):
+    """g reversed and under two seeded relabelings.  The seeded orders give
+    the frontier DP frontiers of up to 7 vertices, against 5 for Petersen
+    and 2 for the band graphs in their natural order."""
+    yield apply_relabeling(g, range(g.n, 0, -1))
+    for seed in (1, 2):
+        yield apply_relabeling(g, Random(seed).sample(range(1, g.n + 1), g.n))
 
 
 def _oracle_graphs(graphs_on_5):
-    return [*graphs_on_5, petersen_graph(), band_graph(8, 3), band_graph(10, 2)]
+    return [
+        *graphs_on_5, petersen_graph(), band_graph(8, 3), band_graph(10, 2),
+        *_relabelings(petersen_graph()), *_relabelings(band_graph(10, 2)),
+    ]
 
 
 def test_chromatic_matches_per_node_oracle(graphs_on_5):
     for g in _oracle_graphs(graphs_on_5):
         for pivot in ("first", "last"):
-            assert chromatic_polynomial(g, pivot) == (
+            assert chromatic_polynomial(g) == (
                 reference_chromatic_polynomial(g, pivot)
             ), (g, pivot)
+
+
+def _times_power(head, a, m):
+    """Coefficients (t^0 first) of head(t) * (t - a)^m, by the binomial
+    theorem; head is a coefficient tuple."""
+    power = [comb(m, k) * (-a) ** (m - k) for k in range(m + 1)]
+    out = [0] * (len(head) + m)
+    for i, h in enumerate(head):
+        for k, c in enumerate(power):
+            out[i + k] += h * c
+    return tuple(out)
+
+
+def _path(n):
+    return OrderedGraph(n, frozenset((i, i + 1) for i in range(1, n)))
+
+
+def test_chromatic_band_40_2_is_fast():
+    # chordal, natural order a PEO: t (t - 1) (t - 2)^38
+    with time_limit(10):
+        assert chromatic_polynomial(band_graph(40, 2)).coeffs == (
+            _times_power((0, -1, 1), 2, 38)
+        )
+
+
+def test_chromatic_long_path_does_not_recurse():
+    # a tree on 3000 vertices: t (t - 1)^2999
+    chromatic_polynomial.cache_clear()
+    with time_limit(60):
+        assert chromatic_polynomial(_path(3000)).coeffs == (
+            _times_power((0, 1), 1, 2999)
+        )
+
+
+def test_chromatic_cli_on_long_path_prints_one_report(tmp_path, capsys):
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps(_path(3000).to_json()))
+    chromatic_polynomial.cache_clear()
+    with time_limit(60):
+        status = main(["chromatic", "--graph", str(graph)])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0 and len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["ok"] and report["diagnostics"] == []
+    assert tuple(report["payload"]["poly"]["coeffs"]) == (
+        _times_power((0, 1), 1, 2999)
+    )
+
+
+def test_chromatic_edgeless_graph_is_a_power_of_t():
+    n = 100_000
+    with time_limit(10):
+        assert chromatic_polynomial(OrderedGraph(n)).coeffs == (0,) * n + (1,)
+
+
+def test_chromatic_reads_nothing_from_the_isf_side(monkeypatch):
+    # check peo compares the two sides, so the chromatic side must not be
+    # computed from d_j, a PEO test or an ISF count
+    graphs = [complete_graph(5), C5, petersen_graph()]
+    want = [reference_chromatic_polynomial(g) for g in graphs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chromatic_polynomial read the ISF side")
+
+    monkeypatch.setattr(isf.chromatic, "isf_counts", forbidden)
+    monkeypatch.setattr(OrderedGraph, "smaller_neighbors", forbidden)
+    monkeypatch.setattr(
+        isf.chromatic, "has_perfect_elimination_order", forbidden
+    )
+    chromatic_polynomial.cache_clear()
+    assert [chromatic_polynomial(g) for g in graphs] == want
 
 
 def test_whitney_matches_enumerative_oracle(graphs_on_5):

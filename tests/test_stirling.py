@@ -1,5 +1,3 @@
-import signal
-from contextlib import contextmanager
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -18,7 +16,7 @@ from isf import (
     permutation_to_forest,
     stirling_row,
 )
-from conftest import brute_force_cycle_counts, enumerative_counts
+from conftest import brute_force_cycle_counts, enumerative_counts, time_limit
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
 
@@ -71,20 +69,6 @@ def test_permutation_validates_vertex_count(n, message):
     assert str(err.value) == message
 
 
-@contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block once it has run for seconds."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("mapping", [
     {1: 2, 2: 2},    # not injective: the cycle walk never returns to 1
     {1: 3, 2: 1},    # 3 is no vertex: the walk would look up mapping[3]
@@ -92,7 +76,7 @@ def _time_limit(seconds):
     {1: 1, 3: 3},    # 2 is missing: the walk would look up mapping[2]
 ])
 def test_from_mapping_rejects_non_bijections(mapping):
-    with _time_limit(1), pytest.raises(InputError, match="not a bijection"):
+    with time_limit(1), pytest.raises(InputError, match="not a bijection"):
         Permutation.from_mapping(mapping)
 
 
