@@ -13,11 +13,12 @@ in the test suite.
 
 Enumeration, for `enumerate_if`, `a_poly` and the factorization check,
 follows the same structure: each vertex j independently either becomes a
-root or picks one smaller neighbor as its parent.  Every choice vector
-yields an increasing forest and every increasing forest arises exactly
-once, so there is no generate-and-filter blowup.  The brute-force filter
-over all acyclic edge subsets is kept in the test suite as an independent
-oracle.
+root or picks one edge (i, j) to a smaller neighbor i.  The picks of one
+choice vector are its forest's edge set, with every larger endpoint
+distinct, so `Forest` accepts it without union-find.  Every increasing
+forest arises exactly once, so there is no generate-and-filter blowup.
+The brute-force filter over all acyclic edge subsets is kept in the test
+suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ def _forests_by_components(g: OrderedGraph) -> dict:
     cache is small: it only spares `enumerate_if`/`a_poly` calls for
     several k on one graph from enumerating again.
     """
-    choices = [[None] + g.smaller_neighbors(j) for j in range(1, g.n + 1)]
-    groups: dict = {k: [] for k in range(g.n + 1)}
-    for parents in product(*choices):
-        edges = frozenset(
-            (i, j) for j, i in enumerate(parents, start=1) if i is not None
-        )
-        k = g.n - len(edges)
-        groups[k].append(Forest(g.n, edges))
+    n = g.n
+    choices = [
+        [None] + [(i, j) for i in g.smaller_neighbors(j)] for j in range(1, n + 1)
+    ]
+    groups: dict = {k: [] for k in range(n + 1)}
+    for picks in product(*choices):
+        edges = frozenset(filter(None, picks))
+        groups[n - len(edges)].append(Forest(n, edges))
     return {
         k: tuple(sorted(fs, key=Forest.sort_key)) for k, fs in groups.items()
     }

@@ -3,8 +3,12 @@
 Vertices are the integers 1..n with their natural order.  Edges are stored
 as pairs (i, j) with i < j.  A Forest always carries its ambient vertex
 count n and is spanning by convention: isolated vertices are singleton
-components.  Acyclicity is validated with union-find at construction time;
-invalid edge sets are rejected, never repaired.
+components.  Acyclicity is validated at construction time: an edge set
+whose larger endpoints are all distinct gives each vertex at most one
+smaller neighbour, and a circuit's largest vertex has two, so such a set
+is a forest (an increasing one).  Only when a larger endpoint repeats does
+union-find over the sorted edges decide.  Invalid edge sets are rejected,
+never repaired.
 
 Rooting every component at its minimum gives a forest its parent vector
 (0 marks a root), its one rooted form.  A Forest computes it lazily, once,
@@ -59,15 +63,18 @@ def _check_vertex_count(n) -> None:
 def _validated_edges(n: int, edges) -> frozenset:
     out = set()
     for e in edges:
-        e = tuple(e)
-        if len(e) != 2 or not all(type(v) is int for v in e):
-            raise InputError(f"malformed edge {e!r}")
-        i, j = e
+        try:
+            i, j = e
+        except ValueError:
+            raise InputError(f"malformed edge {tuple(e)!r}") from None
+        if type(i) is not int or type(j) is not int:
+            raise InputError(f"malformed edge {(i, j)!r}")
         if not (1 <= i < j <= n):
             raise InputError(
                 f"edge ({i},{j}) violates 1 <= i < j <= n with n={n}"
             )
-        out.add((i, j))
+        # keep a caller's tuple: enumerated forests then share edge objects
+        out.add(e if type(e) is tuple else (i, j))
     return frozenset(out)
 
 
@@ -111,7 +118,11 @@ class OrderedGraph:
 
 @dataclass(frozen=True)
 class Forest:
-    """Acyclic edge set over the ambient vertex set 1..n (spanning)."""
+    """Acyclic edge set over the ambient vertex set 1..n (spanning).
+
+    Every Forest also carries `_sorted_edges`, its edges as a sorted tuple,
+    which `sort_key`, `sorted_edges` and `to_json` read.
+    """
 
     n: int
     edges: frozenset = frozenset()
@@ -120,8 +131,11 @@ class Forest:
         _check_vertex_count(self.n)
         edges = _validated_edges(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
+        self.__dict__["_sorted_edges"] = ordered = tuple(sorted(edges))
+        if len({j for _, j in edges}) == len(edges):
+            return
         uf = UnionFind(self.n)
-        for i, j in sorted(edges):
+        for i, j in ordered:
             if not uf.union(i, j):
                 raise CyclicInput(f"edge ({i},{j}) closes a circuit")
 
@@ -146,10 +160,14 @@ class Forest:
                 raise InputError(
                     f"parent vector entry {v} -> {p} is not 0 or below {v}"
                 )
+        edges.sort()
         f = object.__new__(cls)
         object.__setattr__(f, "n", len(parent) - 1)
         object.__setattr__(f, "edges", frozenset(edges))
-        f.__dict__.update(parent=parent, minima=frozenset(minima), increasing=True)
+        f.__dict__.update(
+            _sorted_edges=tuple(edges), parent=parent,
+            minima=frozenset(minima), increasing=True,
+        )
         return f
 
     @cached_property
@@ -202,16 +220,16 @@ class Forest:
 
     @property
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        return list(self._sorted_edges)
 
     def sort_key(self) -> tuple:
-        return tuple(self.sorted_edges)
+        return self._sorted_edges
 
     def component_count(self) -> int:
         return self.n - len(self.edges)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges]}
+        return {"n": self.n, "edges": [list(e) for e in self._sorted_edges]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Forest":

@@ -59,6 +59,19 @@ def acyclic_subsets(g):
     return out
 
 
+def reference_circuit_edge(n, edges):
+    """The first edge in sorted order that closes a circuit with the edges
+    before it, or None if edges is a forest.  Components are tracked by
+    relabeling, not by the union-find of isf.graphs."""
+    label = list(range(n + 1))
+    for i, j in sorted(edges):
+        if label[i] == label[j]:
+            return (i, j)
+        old = label[j]
+        label = [label[i] if x == old else x for x in label]
+    return None
+
+
 def brute_force_increasing_forests(g, k):
     """Generate-and-filter oracle for the increasing forest enumeration."""
     return sorted(

@@ -194,6 +194,16 @@ def test_forest_in_graph_diagnostics(capsys, monkeypatch, tmp_path, argv, stdout
     assert capsys.readouterr().out == stdout
 
 
+def test_cyclic_forest_diagnostic(capsys, monkeypatch, tmp_path):
+    # the triangle's larger endpoint 3 repeats, so union-find decides
+    _write_forests(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main("admissible --graph k3.json --forest k3.json".split()) == 2
+    assert capsys.readouterr().out == (
+        '{"command": "admissible", "diagnostics": ["edge (2,3) closes a '
+        'circuit"], "ok": false, "payload": null}\n')
+
+
 def test_negative_permutation_size_exit_code(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"n": -1, "cycles": []}))

@@ -17,7 +17,9 @@ from isf import (
     isf_tpoly,
     strong_logconcavity_check,
 )
-from isf.enumeration import _lift_report, _y_difference
+import isf.graphs
+from isf.enumeration import _forests_by_components, _lift_report, _y_difference
+from isf.injection import verify_psi
 from conftest import (
     all_edge_subsets,
     brute_force_increasing_forests,
@@ -55,6 +57,20 @@ def test_enumeration_matches_brute_force_oracle():
     for g in all_edge_subsets(4):
         for k in range(g.n + 1):
             assert enumerate_if(g, k) == brute_force_increasing_forests(g, k)
+
+
+def test_enumeration_and_psi_never_reach_union_find(monkeypatch):
+    # every enumerated forest has distinct larger endpoints, so Forest
+    # needs no union-find for it
+    def refuse(n):
+        raise RuntimeError("UnionFind reached")
+
+    monkeypatch.setattr(isf.graphs, "UnionFind", refuse)
+    _forests_by_components.cache_clear()
+    k6 = complete_graph(6)
+    assert tuple(len(enumerate_if(k6, k)) for k in range(7)) == isf_counts(k6)
+    report = verify_psi(complete_graph(5), 2, 3)
+    assert report.injective and report.total_pairs == 50 * 35
 
 
 def test_a_poly_k3():

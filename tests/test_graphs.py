@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isf import (
     CyclicInput,
@@ -14,8 +15,8 @@ from isf import (
 )
 from isf.enumeration import _forests_by_components
 from conftest import (
-    acyclic_subsets, random_graph, reference_branch, reference_component,
-    reference_parent,
+    acyclic_subsets, random_graph, reference_branch, reference_circuit_edge,
+    reference_component, reference_parent,
 )
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
@@ -34,6 +35,60 @@ def test_graph_rejects_bad_edges():
 def test_forest_rejects_circuit():
     with pytest.raises(CyclicInput):
         Forest(3, frozenset({(1, 2), (1, 3), (2, 3)}))
+
+
+@st.composite
+def edge_sets(draw):
+    """(n, edges) with up to n + 1 edges: forests, increasing or not, and
+    sets with circuits."""
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    if not pairs:
+        return n, frozenset()
+    return n, draw(st.frozensets(st.sampled_from(pairs), max_size=n + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_sets())
+def test_forest_matches_union_find_oracle(case):
+    n, edges = case
+    as_json = {"n": n, "edges": [list(e) for e in edges]}
+    circuit = reference_circuit_edge(n, edges)
+    if circuit is not None:
+        message = "edge ({},{}) closes a circuit".format(*circuit)
+        for build in (lambda: Forest(n, edges), lambda: Forest.from_json(as_json)):
+            with pytest.raises(CyclicInput) as exc:
+                build()
+            assert str(exc.value) == message
+        return
+    f = Forest(n, edges)
+    assert Forest.from_json(as_json) == f
+    assert f.sort_key() == tuple(sorted(edges))
+    parent = reference_parent(f)
+    if all(parent[v] < v for v in range(1, n + 1)):
+        choice = [0] * (n + 1)
+        for i, j in edges:
+            choice[j] = i
+        built = Forest.from_parent(choice)
+        assert built == f and f.parent == built.parent
+
+
+def test_sorted_edges_are_not_shared_mutable_state():
+    f = Forest(4, frozenset({(2, 3), (1, 2), (1, 4)}))
+    g = enumerate_if(complete_graph(4), 1)[0]
+    h = Forest.from_parent([0, 0, 1, 1, 3])
+    for forest in (f, g, h):
+        key = forest.sort_key()
+        first = forest.to_json()
+        forest.sorted_edges.append((3, 4))
+        forest.sorted_edges.clear()
+        js = forest.to_json()
+        js["edges"].append([3, 4])
+        js["edges"][0].append(9)
+        js["edges"].reverse()
+        assert forest.sort_key() == key == tuple(sorted(forest.edges))
+        assert forest.to_json() == first
+        assert first["edges"] == [list(e) for e in key]
 
 
 def test_orient_star():
