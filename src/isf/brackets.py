@@ -40,15 +40,17 @@ def _unmatched(elements: tuple, members) -> tuple:
 
 
 def _as_ground(ground) -> tuple:
+    # (Y sorted, Y as a set); a frozenset Y is its own, repeat-free set
     elems = tuple(sorted(ground))
-    if len(set(elems)) != len(elems):
+    members = ground if type(ground) is frozenset else frozenset(elems)
+    if len(members) != len(elems):
         raise NotASubset(f"ground set has repeated elements: {ground!r}")
-    return elems
+    return elems, members
 
 
-def _check_subset(ground: tuple, subset) -> frozenset:
+def _check_subset(ground: tuple, members, subset) -> frozenset:
     sub = frozenset(subset)
-    if not sub <= set(ground):
+    if not sub <= members:
         raise NotASubset(f"{sorted(sub)} is not a subset of {list(ground)}")
     return sub
 
@@ -71,8 +73,8 @@ def _bracket_predecessor(elements: tuple, sub: frozenset) -> frozenset:
 
 def phi(ground, subset) -> frozenset:
     """The canonical injection X -> X' with X a proper subset of X'."""
-    elements = _as_ground(ground)
-    return _bracket_successor(elements, _check_subset(elements, subset))
+    elements, members = _as_ground(ground)
+    return _bracket_successor(elements, _check_subset(elements, members, subset))
 
 
 def phi_inverse(ground, subset) -> frozenset:
@@ -80,8 +82,8 @@ def phi_inverse(ground, subset) -> frozenset:
 
     Raises NotInImage when the candidate preimage does not map back.
     """
-    elements = _as_ground(ground)
-    sub = _check_subset(elements, subset)
+    elements, members = _as_ground(ground)
+    sub = _check_subset(elements, members, subset)
     pre = _bracket_predecessor(elements, sub)
     try:
         image = _bracket_successor(elements, pre)
@@ -94,8 +96,9 @@ def phi_inverse(ground, subset) -> frozenset:
 
 def phi_reversed(ground, subset) -> frozenset:
     """Alternative valid injection: same matching over the reversed order."""
-    elements = tuple(reversed(_as_ground(ground)))
-    return _bracket_successor(elements, _check_subset(elements, subset))
+    elements, members = _as_ground(ground)
+    elements = elements[::-1]
+    return _bracket_successor(elements, _check_subset(elements, members, subset))
 
 
 def subset_pair_map(n: int, x, y) -> tuple:
@@ -105,9 +108,9 @@ def subset_pair_map(n: int, x, y) -> tuple:
     chosen by phi applied to X\\Y inside the symmetric difference.  Sizes
     shift by (+1, -1) and the multiset union of the pair is preserved.
     """
-    universe = range(1, n + 1)
-    xs = _check_subset(tuple(universe), x)
-    ys = _check_subset(tuple(universe), y)
+    universe, members = _as_ground(range(1, n + 1))
+    xs = _check_subset(universe, members, x)
+    ys = _check_subset(universe, members, y)
     if len(xs) >= len(ys):
         raise SizeViolation(f"need |X| < |Y|, got {len(xs)} >= {len(ys)}")
     delta = xs ^ ys

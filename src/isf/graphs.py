@@ -67,6 +67,8 @@ def _validated_edges(n: int, edges) -> frozenset:
             i, j = e
         except ValueError:
             raise InputError(f"malformed edge {tuple(e)!r}") from None
+        except TypeError:  # not iterable at all
+            raise InputError(f"malformed edge {e!r}") from None
         if type(i) is not int or type(j) is not int:
             raise InputError(f"malformed edge {(i, j)!r}")
         if not (1 <= i < j <= n):

@@ -10,13 +10,17 @@ so tests and the CLI can expose each step.
 
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
-B[j] = A[j].  Everything else psi needs of an input forest is cached on it.
+B[j] = A[j].  psi checks its bookkeeping on these two vectors and builds
+no Forest, and verify_psi checks locality and weight on them; everything
+else psi needs of an input forest is cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import add, mul
 from typing import NamedTuple
 
 from .brackets import phi
@@ -32,7 +36,8 @@ def select_j(m_a, m_b, successor=phi) -> int:
         raise SizeViolation(
             f"need |m(A)| < |m(B)|, got {len(m_a)} >= {len(m_b)}"
         )
-    added = successor(m_a ^ m_b, m_a - m_b) - (m_a - m_b)
+    only_a = m_a - m_b
+    added = successor(m_a ^ m_b, only_a) - only_a
     if len(added) != 1:
         raise InvariantViolation(
             f"successor added {sorted(added)}, not exactly one element"
@@ -53,8 +58,11 @@ class PsiTrace:
     B_comp: frozenset
     i0: int
     e: tuple
-    A_out: Forest
-    B_out: Forest
+    A_out_parent: tuple
+    B_out_parent: tuple
+    # the output Forests, built from the vectors on first access
+    A_out = cached_property(lambda self: Forest.from_parent(self.A_out_parent))
+    B_out = cached_property(lambda self: Forest.from_parent(self.B_out_parent))
 
     def to_json(self) -> dict:
         return {
@@ -76,6 +84,10 @@ def _check(holds: bool, claim: str) -> None:
         raise InvariantViolation(f"psi bookkeeping failed: {claim}")
 
 
+def _roots(parent: tuple) -> set:  # the zero entries past index 0
+    return {v for v in range(1, len(parent)) if not parent[v]}
+
+
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
     for f, name in ((a, "A"), (b, "B")):
@@ -93,16 +105,16 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     pa, pb = a.parent, b.parent
     a_comp, b_comp = a.components[j], b.components[j]
     e = (pa[j], j)
-    # the swap B[j] = A[j], A[j] = 0; from_parent checks both stay increasing
-    a_out = Forest.from_parent(pa[:j] + (0,) + pa[j + 1:])
-    b_out = Forest.from_parent(pb[:j] + (pa[j],) + pb[j + 1:])
+    # the swap B[j] = A[j], A[j] = 0; both outputs stay increasing vectors
+    a_out = pa[:j] + (0,) + pa[j + 1:]
+    b_out = pb[:j] + (pa[j],) + pb[j + 1:]
     _check(j == min(b_comp), "j = min of its component in B")
     _check(e in a.edges and e not in b.edges, "e in A and e not in B")
-    _check(a_out.minima == m_a | {j}, "m(A') = m(A) + j")
-    _check(b_out.minima == m_b - {j}, "m(B') = m(B) - j")
+    _check(_roots(a_out) == m_a | {j}, "m(A') = m(A) + j")
+    _check(_roots(b_out) == m_b - {j}, "m(B') = m(B) - j")
     return PsiTrace(
-        mA=m_a, mB=m_b, sym_diff=m_a ^ m_b, j=j, A_comp=a_comp,
-        B_comp=b_comp, i0=min(a_comp), e=e, A_out=a_out, B_out=b_out,
+        mA=m_a, mB=m_b, sym_diff=m_a ^ m_b, j=j, A_comp=a_comp, B_comp=b_comp,
+        i0=min(a_comp), e=e, A_out_parent=a_out, B_out_parent=b_out,
     )
 
 
@@ -132,27 +144,25 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
         raise SizeViolation(f"need 0 <= k < l <= n={g.n}, got k={k}, l={l}")
     images: dict = {}
     collisions = []
-    local = True
-    weight_preserving = True
-    total = 0
-    for a, b in product(enumerate_if(g, k), enumerate_if(g, l)):
-        total += 1
+    local = weight_preserving = True
+    forests_k, forests_l = enumerate_if(g, k), enumerate_if(g, l)
+    for a, b in product(forests_k, forests_l):
         tr = psi(g, a, b, successor=successor)
-        e = tr.e
-        if not (
-            e in a.edges
-            and e not in b.edges
-            and tr.A_out.edges == a.edges - {e}
-            and tr.B_out.edges == b.edges | {e}
-        ):
+        pa, pb = a.parent, b.parent
+        key = a_out, b_out = tr.A_out_parent, tr.B_out_parent
+        # local: A' is A less its edge e = (i, j), and B' is B plus e
+        i, j = tr.e
+        if not (i and pa[j] == i and not pb[j]
+                and a_out == pa[:j] + (0,) + pa[j + 1:]
+                and b_out == pb[:j] + (i,) + pb[j + 1:]):
             local = False
-        before = sorted(list(a.edges) + list(b.edges))
-        after = sorted(list(tr.A_out.edges) + list(tr.B_out.edges))
-        if before != after:
+        # weight: equal sums and products, so {A[v], B[v]} = {A'[v], B'[v]}
+        if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
+                or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
             weight_preserving = False
-        key = (tr.A_out.parent, tr.B_out.parent)
         if key in images:
             collisions.append([images[key], (a, b)])
         else:
             images[key] = (a, b)
+    total = len(forests_k) * len(forests_l)
     return PsiReport(total, not collisions, local, weight_preserving, collisions)

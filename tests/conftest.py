@@ -160,7 +160,8 @@ def edge_set_psi(a, b, successor):
     """The edge-moving map computed on edge sets, as a dict of trace fields.
 
     Minima, components and the moved edge come from the BFS references
-    above; the outputs are A minus e and B plus e, validated as Forests.
+    above; the outputs are A minus e and B plus e, validated as Forests,
+    and their parent vectors come from the BFS rooting of those Forests.
     """
     pa = reference_parent(a)
     m_a = frozenset(v for v in range(1, a.n + 1) if not pa[v])
@@ -168,12 +169,28 @@ def edge_set_psi(a, b, successor):
     (j,) = successor(m_a ^ m_b, m_a - m_b) - (m_a - m_b)
     a_comp = reference_component(a, j)
     e = (pa[j], j)
+    a_out, b_out = Forest(a.n, a.edges - {e}), Forest(b.n, b.edges | {e})
     return {
         "mA": m_a, "mB": m_b, "sym_diff": m_a ^ m_b, "j": j,
         "A_comp": a_comp, "B_comp": reference_component(b, j),
-        "i0": min(a_comp), "e": e,
-        "A_out": Forest(a.n, a.edges - {e}), "B_out": Forest(b.n, b.edges | {e}),
+        "i0": min(a_comp), "e": e, "A_out": a_out, "B_out": b_out,
+        "A_out_parent": reference_parent(a_out),
+        "B_out_parent": reference_parent(b_out),
     }
+
+
+def edge_set_verdicts(a, b, tr):
+    """(local, weight_preserving) of one psi trace for the pair (a, b), on
+    edge sets: e leaves A and joins B, and the sorted edge lists of the
+    pair agree before and after."""
+    e = tr.e
+    local = (
+        e in a.edges and e not in b.edges
+        and tr.A_out.edges == a.edges - {e} and tr.B_out.edges == b.edges | {e}
+    )
+    before = sorted([*a.edges, *b.edges])
+    after = sorted([*tr.A_out.edges, *tr.B_out.edges])
+    return local, before == after
 
 
 def _subtract(p, q):

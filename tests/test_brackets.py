@@ -31,6 +31,27 @@ def test_phi_errors():
         phi({1, 2, 3}, {4})
 
 
+@pytest.mark.parametrize("fn", [phi, phi_inverse, phi_reversed])
+def test_frozenset_and_list_callers_agree(fn):
+    # frozensets skip the repeated-element check and the set rebuild; the
+    # answers and the error messages must not depend on that
+    def outcome(ground, subset):
+        try:
+            return fn(ground, subset)
+        except (NotASubset, NotInImage, SizeViolation) as exc:
+            return type(exc), str(exc)
+
+    for m in range(6):
+        ground = [2 * i + 1 for i in range(m)]
+        for subset in [*map(list, combinations(ground, m // 2)), [0], [3, 99]]:
+            want = outcome(ground, subset)
+            assert outcome(frozenset(ground), frozenset(subset)) == want
+            assert outcome(set(ground), subset) == want
+        assert outcome(frozenset(ground), frozenset({0}))[0] is NotASubset
+    with pytest.raises(NotASubset, match="repeated"):
+        fn([1, 1, 2], [1])
+
+
 def test_phi_inverse_round_trips():
     assert phi_inverse({1, 2, 3}, {1, 3}) == {1}
     assert phi_inverse({1}, {1}) == set()

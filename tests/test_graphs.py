@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -30,6 +31,19 @@ def test_graph_rejects_bad_edges():
         OrderedGraph(3, frozenset({(1, 4)}))
     with pytest.raises(InputError):
         OrderedGraph(2, frozenset({(1, 1)}))
+
+
+@pytest.mark.parametrize("cls, edge, shown", [
+    (Forest, 5, "5"),
+    (OrderedGraph, None, "None"),
+    (Forest, None, "None"),
+    (OrderedGraph, 5, "5"),
+    (Forest, (1, 2, 3), "(1, 2, 3)"),
+])
+def test_non_edge_is_a_malformed_edge(cls, edge, shown):
+    # a non-iterable edge is reported like a wrong-length one
+    with pytest.raises(InputError, match=re.escape(f"malformed edge {shown}")):
+        cls(3, [edge])
 
 
 def test_forest_rejects_circuit():

@@ -1,8 +1,9 @@
+import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from random import Random
 
@@ -27,7 +28,9 @@ from isf import (
     select_j,
     verify_psi,
 )
-from conftest import edge_set_psi, random_graph, reference_parent
+from conftest import (
+    edge_set_psi, edge_set_verdicts, random_graph, reference_parent,
+)
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -191,8 +194,133 @@ def test_psi_matches_edge_set_oracle(successor):
                         want = edge_set_psi(a, b, successor)
                         for f in fields(tr):
                             assert getattr(tr, f.name) == want[f.name], f.name
-                        assert tr.A_out.parent == reference_parent(want["A_out"])
-                        assert tr.B_out.parent == reference_parent(want["B_out"])
+                        # the output Forests, built from the vectors on demand
+                        assert tr.A_out == want["A_out"]
+                        assert tr.B_out == want["B_out"]
+                        assert tr.A_out.parent == want["A_out_parent"]
+                        assert tr.B_out.parent == want["B_out_parent"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _max_outside(ground, subset):
+    # not injective: always adds the largest element outside the subset
+    return frozenset(subset) | {max(frozenset(ground) - frozenset(subset))}
+
+
+def test_collision_report_is_pinned():
+    # recorded from verify_psi when it still built and compared edge sets
+    rep = verify_psi(K4, 2, 3, successor=_max_outside)
+    assert not rep.injective and len(rep.collisions) == 6
+    assert rep.local and rep.weight_preserving
+    want = (GOLDEN / "verify-psi-k4-k2-l3-collisions.json").read_text()
+    assert json.dumps(rep.to_json(), sort_keys=True) + "\n" == want
+
+
+def _set_at(tr, v, a_v, b_v, **changes):
+    """tr with A'[v] = a_v, B'[v] = b_v and the given fields changed."""
+    a_out, b_out = list(tr.A_out_parent), list(tr.B_out_parent)
+    a_out[v], b_out[v] = a_v, b_v
+    return replace(tr, A_out_parent=tuple(a_out), B_out_parent=tuple(b_out),
+                   **changes)
+
+
+def _broken_traces(a, b, tr, other):
+    """Traces psi never returns for (a, b), mostly wrong in one way.
+
+    At each vertex v: the outputs exchanged at v; A's edge into v moved
+    instead of e (onto a root of B, over B's own edge into v, or a root's
+    'edge' (0, v)); and, where they differ with an even sum, both outputs
+    replaced by their mean.  Then B' left as B, another edge of A or a root
+    named as e, and the outputs of another pair.
+    """
+    pa, pb = a.parent, b.parent
+    a_out, b_out = tr.A_out_parent, tr.B_out_parent
+    unmoved = replace(tr, A_out_parent=pa, B_out_parent=pb)
+    out = []
+    for v in range(1, a.n + 1):
+        out.append(_set_at(tr, v, b_out[v], a_out[v]))
+        out.append(_set_at(unmoved, v, 0, pa[v], e=(pa[v], v)))
+        total = a_out[v] + b_out[v]
+        if a_out[v] != b_out[v] and total % 2 == 0:
+            out.append(_set_at(tr, v, total // 2, total // 2))
+    out.append(replace(tr, B_out_parent=pb))
+    out += [replace(tr, e=e) for e in sorted(a.edges - {tr.e})]
+    out.append(replace(tr, e=(0, tr.j)))
+    out.append(replace(tr, A_out_parent=other.A_out_parent,
+                       B_out_parent=other.B_out_parent))
+    return out
+
+
+def _verdicts_of(g, k, l, a, b, trace):
+    """verify_psi's (local, weight_preserving) for the single pair (a, b),
+    with psi answering trace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isf.injection, "enumerate_if",
+                   lambda graph, c: [a] if c == k else [b])
+        mp.setattr(isf.injection, "psi", lambda *args, **kwargs: trace)
+        rep = verify_psi(g, k, l)
+    return rep.local, rep.weight_preserving
+
+
+def test_vector_verdicts_match_edge_sets():
+    # every pair of the complete and seeded random graphs on <= 5 vertices,
+    # with psi's own trace and with traces broken in each way above
+    graphs = [complete_graph(n) for n in range(2, 6)]
+    graphs += [g for g in _random_graphs() if g.n <= 5]
+    seen = set()
+    for g in graphs:
+        for k in range(g.n):
+            for l in range(k + 1, g.n + 1):
+                other = None
+                for a in enumerate_if(g, k):
+                    for b in enumerate_if(g, l):
+                        tr = psi(g, a, b)
+                        for t in [tr, *_broken_traces(a, b, tr, other or tr)]:
+                            want = edge_set_verdicts(a, b, t)
+                            seen.add(want)
+                            got = _verdicts_of(g, k, l, a, b, t)
+                            assert got == want, (g, a, b, t)
+                        other = tr
+    # local implies weight-preserving; every other combination occurs
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("break_trace, verdict", [
+    (lambda a, b, tr: _set_at(tr, a.n, tr.B_out_parent[a.n],
+                              tr.A_out_parent[a.n]), (False, True)),
+    (lambda a, b, tr: replace(tr, e=(0, tr.j)), (False, True)),
+    (lambda a, b, tr: replace(tr, B_out_parent=b.parent), (False, False)),
+    (lambda a, b, tr: replace(tr, A_out_parent=a.parent), (False, False)),
+])
+def test_verify_psi_reports_broken_traces(monkeypatch, break_trace, verdict):
+    # psi made to return outputs that break locality (first two) or the
+    # edge multiset (last two)
+    real = isf.injection.psi
+    monkeypatch.setattr(isf.injection, "psi", lambda g, a, b, successor=phi:
+                        break_trace(a, b, real(g, a, b, successor=successor)))
+    rep = verify_psi(K4, 1, 2)
+    assert (rep.local, rep.weight_preserving) == verdict
+    assert rep.total_pairs == 66
+
+
+def test_verify_psi_builds_no_forest(monkeypatch):
+    # with the forests enumerated, the pair loop works on parent vectors
+    # alone: no output Forest and no validated edge set
+    k5 = complete_graph(5)
+    for k in range(6):
+        enumerate_if(k5, k)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a Forest was built")
+
+    monkeypatch.setattr(Forest, "from_parent", refuse)
+    monkeypatch.setattr(Forest, "__post_init__", refuse)
+    for k in range(5):
+        for l in range(k + 1, 6):
+            rep = verify_psi(k5, k, l)
+            assert rep.injective and rep.local and rep.weight_preserving
 
 
 def _outside_successor(ground, subset):
