@@ -156,23 +156,23 @@ def _all_vertices_good(parent: tuple, nbrs: list) -> bool:
 
 def spanning_forests(g: OrderedGraph) -> list:
     """All acyclic edge subsets of g, spanning by convention."""
-    edges = sorted(g.edges)
     out = []
-
-    def extend(idx: int, chosen: tuple, uf_state: list):
-        if idx == len(edges):
-            out.append(Forest(g.n, frozenset(chosen)))
-            return
-        extend(idx + 1, chosen, uf_state)
-        uf = UnionFind(g.n)
-        uf.parent = list(uf_state)
-        i, j = edges[idx]
-        if uf.union(i, j):
-            extend(idx + 1, chosen + (edges[idx],), uf.parent)
-
-    uf0 = UnionFind(g.n)
-    extend(0, (), uf0.parent)
+    _extend_forests(g.n, sorted(g.edges), 0, (), UnionFind(g.n).parent, out)
     return sorted(out, key=Forest.sort_key)
+
+
+def _extend_forests(n: int, edges: list, idx: int, chosen: tuple,
+                    uf_state: list, out: list) -> None:
+    """Append to out every forest that extends chosen by edges[idx:]."""
+    if idx == len(edges):
+        out.append(Forest(n, frozenset(chosen)))
+        return
+    _extend_forests(n, edges, idx + 1, chosen, uf_state, out)
+    uf = UnionFind(n)
+    uf.parent = list(uf_state)
+    i, j = edges[idx]
+    if uf.union(i, j):
+        _extend_forests(n, edges, idx + 1, chosen + (edges[idx],), uf.parent, out)
 
 
 @lru_cache(maxsize=64)
@@ -248,16 +248,19 @@ def _nbc_counts(g: OrderedGraph, bcs: list) -> list:
         bits = [index[e] for e in bc]
         closing[max(bits)].append(sum(1 << b for b in bits))
     counts = [0] * (g.n + 1)
-
-    def extend(start: int, chosen: int, k: int):
-        counts[k] += 1
-        for idx in range(start, len(edges)):
-            grown = chosen | (1 << idx)
-            if not any(bc & grown == bc for bc in closing[idx]):
-                extend(idx + 1, grown, k - 1)
-
-    extend(0, 0, g.n)
+    _extend_nbc(closing, 0, 0, g.n, counts)
     return counts
+
+
+def _extend_nbc(closing: list, start: int, chosen: int, k: int,
+                counts: list) -> None:
+    """Count in counts the NBC sets that extend the bit mask chosen (k
+    components) by edges from start on; closing as in `_nbc_counts`."""
+    counts[k] += 1
+    for idx in range(start, len(closing)):
+        grown = chosen | (1 << idx)
+        if not any(bc & grown == bc for bc in closing[idx]):
+            _extend_nbc(closing, idx + 1, grown, k - 1, counts)
 
 
 class MovableSearchReport(NamedTuple):

@@ -12,6 +12,7 @@ invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -307,5 +308,19 @@ def main(argv=None) -> int:
     return status
 
 
+def run() -> None:
+    """Process entry point of `isf` and `python -m isf.cli`: `main()` with
+    the cyclic collector off, then exit without the shutdown collection.
+
+    The library builds acyclic data (forests, parent vectors, edge tuples),
+    so collector passes only rescan live objects; `gc.freeze()` moves the
+    survivors out of the final collection at interpreter exit.
+    """
+    gc.disable()
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -248,9 +248,8 @@ def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:
     label names f in the message."""
     if f.n != g.n:
         raise NotInGraph(f"{label} has n={f.n}, graph has n={g.n}")
-    extra = f.edges - g.edges
-    if extra:
-        raise NotInGraph(f"{label} uses non-graph edges {sorted(extra)}")
+    if not f.edges <= g.edges:
+        raise NotInGraph(f"{label} uses non-graph edges {sorted(f.edges - g.edges)}")
 
 
 def is_increasing(f: Forest) -> bool:
