@@ -11,16 +11,19 @@ so tests and the CLI can expose each step.
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
 B[j] = A[j].  psi checks its bookkeeping on these two vectors and builds
-no Forest, and verify_psi checks locality and weight on them; everything
-else psi needs of an input forest is cached on it.
+no Forest (it fills its frozen trace's __dict__, as Forest.from_parent
+does, without the dataclass __init__); all else psi needs of an input
+forest is cached on it.  verify_psi checks locality on the vectors, and
+weight only where locality fails: a local move turns (A[j], B[j]) =
+(i, 0) into (0, i) and keeps every other coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import add, mul
+from itertools import compress, count, product
+from operator import add, mul, not_
 from typing import NamedTuple
 
 from .brackets import phi
@@ -36,8 +39,11 @@ def select_j(m_a, m_b, successor=phi) -> int:
         raise SizeViolation(
             f"need |m(A)| < |m(B)|, got {len(m_a)} >= {len(m_b)}"
         )
-    only_a = m_a - m_b
-    added = successor(m_a ^ m_b, only_a) - only_a
+    return _select(m_a - m_b, m_a ^ m_b, successor)
+
+
+def _select(only_a: frozenset, sym_diff: frozenset, successor) -> int:
+    added = successor(sym_diff, only_a) - only_a
     if len(added) != 1:
         raise InvariantViolation(
             f"successor added {sorted(added)}, not exactly one element"
@@ -85,21 +91,22 @@ def _check(holds: bool, claim: str) -> None:
 
 
 def _roots(parent: tuple) -> set:  # the zero entries past index 0
-    return {v for v in range(1, len(parent)) if not parent[v]}
+    return set(compress(count(1), map(not_, parent[1:])))
 
 
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
-    for f, name in ((a, "A"), (b, "B")):
-        _check_forest_in_graph(g, f, f"forest {name}")
+    for f, name in ((a, "forest A"), (b, "forest B")):
+        _check_forest_in_graph(g, f, name)
         if not f.increasing:
-            raise NotIncreasing(f"forest {name} is not increasing")
+            raise NotIncreasing(f"{name} is not increasing")
     m_a, m_b = a.minima, b.minima
     if len(m_a) >= len(m_b):
         raise SizeViolation(
             f"need components(A) < components(B), got {len(m_a)} >= {len(m_b)}"
         )
-    j = select_j(m_a, m_b, successor=successor)
+    sym_diff = m_a ^ m_b
+    j = _select(m_a - m_b, sym_diff, successor)
     # bookkeeping the injectivity proof relies on; cheap, so always checked
     _check(j in m_b and j not in m_a, "j in m(B) - m(A)")
     pa, pb = a.parent, b.parent
@@ -112,10 +119,12 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     _check(e in a.edges and e not in b.edges, "e in A and e not in B")
     _check(_roots(a_out) == m_a | {j}, "m(A') = m(A) + j")
     _check(_roots(b_out) == m_b - {j}, "m(B') = m(B) - j")
-    return PsiTrace(
-        mA=m_a, mB=m_b, sym_diff=m_a ^ m_b, j=j, A_comp=a_comp, B_comp=b_comp,
+    tr = object.__new__(PsiTrace)  # frozen: fill __dict__, skip __init__
+    tr.__dict__.update(
+        mA=m_a, mB=m_b, sym_diff=sym_diff, j=j, A_comp=a_comp, B_comp=b_comp,
         i0=min(a_comp), e=e, A_out_parent=a_out, B_out_parent=b_out,
     )
+    return tr
 
 
 class PsiReport(NamedTuple):
@@ -152,14 +161,14 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
         key = a_out, b_out = tr.A_out_parent, tr.B_out_parent
         # local: A' is A less its edge e = (i, j), and B' is B plus e
         i, j = tr.e
-        if not (i and pa[j] == i and not pb[j]
+        if not (0 < i < j and pa[j] == i and not pb[j]
                 and a_out == pa[:j] + (0,) + pa[j + 1:]
                 and b_out == pb[:j] + (i,) + pb[j + 1:]):
             local = False
-        # weight: equal sums and products, so {A[v], B[v]} = {A'[v], B'[v]}
-        if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
-                or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
-            weight_preserving = False
+            # weight: {A[v], B[v]} = {A'[v], B'[v]}, by sums and products
+            if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
+                    or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
+                weight_preserving = False
         if key in images:
             collisions.append([images[key], (a, b)])
         else:

@@ -93,6 +93,80 @@ def test_psi_preconditions():
         )
 
 
+def test_psi_input_checks_order_and_messages():
+    # A in graph, A increasing, B in graph, B increasing, then the sizes;
+    # g lacks only (2, 3)
+    g = OrderedGraph(4, frozenset({(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}))
+    good_k1 = Forest(4, frozenset({(1, 2), (1, 3), (1, 4)}))
+    good_k4 = Forest(4)
+    off = Forest(4, frozenset({(2, 3)}))                    # increasing
+    decreasing = Forest(4, frozenset({(1, 4), (2, 4), (3, 4)}))
+    off_decreasing = Forest(4, frozenset({(1, 4), (2, 4), (2, 3)}))
+    wrong_n = Forest(3)
+    cases = [
+        (off_decreasing, off_decreasing, NotInGraph,
+         "forest A uses non-graph edges [(2, 3)]"),
+        (wrong_n, off, NotInGraph, "forest A has n=3, graph has n=4"),
+        (decreasing, off, NotIncreasing, "forest A is not increasing"),
+        (decreasing, good_k1, NotIncreasing, "forest A is not increasing"),
+        (good_k1, off_decreasing, NotInGraph,
+         "forest B uses non-graph edges [(2, 3)]"),
+        (good_k1, wrong_n, NotInGraph, "forest B has n=3, graph has n=4"),
+        (good_k1, decreasing, NotIncreasing, "forest B is not increasing"),
+        (good_k4, decreasing, NotIncreasing, "forest B is not increasing"),
+        (good_k4, good_k1, SizeViolation,
+         "need components(A) < components(B), got 4 >= 1"),
+    ]
+    for a, b, error, message in cases:
+        with pytest.raises(error) as info:
+            psi(g, a, b)
+        assert str(info.value) == message, (a, b)
+    assert psi(g, good_k1, good_k4).j == 4
+
+
+def _lower_degree_graph(degrees, seed):
+    # vertex j joined to degrees[j - 1] smaller vertices drawn from seed
+    rng = Random(seed)
+    edges = {(i, j) for j, d in enumerate(degrees, start=1)
+             for i in rng.sample(range(1, j), d)}
+    return OrderedGraph(len(degrees), frozenset(edges))
+
+
+def test_verify_psi_calls_psi_and_successor_once_per_pair(monkeypatch):
+    # perfbench's traced identity psi calls = phi calls = pairs rests on this
+    real_psi = isf.injection.psi
+    calls = {"psi": 0, "successor": 0}
+
+    def counting_psi(g, a, b, successor=phi):
+        calls["psi"] += 1
+        return real_psi(g, a, b, successor=successor)
+
+    def counting_phi(ground, subset):
+        calls["successor"] += 1
+        return phi(ground, subset)
+
+    monkeypatch.setattr(isf.injection, "psi", counting_psi)
+    k5 = complete_graph(5)
+    jobs = [(k5, k, l) for k in range(5) for l in range(k + 1, 6)]
+    jobs.append((_lower_degree_graph((0, 1, 1, 2, 2, 2, 2, 2), 12), 1, 3))
+    for g, k, l in jobs:
+        calls.update(psi=0, successor=0)
+        rep = verify_psi(g, k, l, successor=counting_phi)
+        assert rep.injective and rep.local and rep.weight_preserving
+        assert calls == {"psi": rep.total_pairs,
+                         "successor": rep.total_pairs}, (g, k, l)
+    assert rep.total_pairs == 32 * 272
+
+    # and the pair loop builds its traces without PsiTrace.__init__
+    def refuse(*args, **kwargs):
+        raise RuntimeError("PsiTrace.__init__ ran")
+
+    monkeypatch.setattr(isf.injection.PsiTrace, "__init__", refuse)
+    for k in range(5):
+        for l in range(k + 1, 6):
+            assert verify_psi(k5, k, l).injective
+
+
 def test_psi_last_edge_matches_path_oracle():
     # trace.e must be the last edge on the path from i0 to j inside A
     for k in range(1, 4):
@@ -233,7 +307,8 @@ def _broken_traces(a, b, tr, other):
     instead of e (onto a root of B, over B's own edge into v, or a root's
     'edge' (0, v)); and, where they differ with an even sum, both outputs
     replaced by their mean.  Then B' left as B, another edge of A or a root
-    named as e, and the outputs of another pair.
+    named as e, e with j written as the negative index of the same entry,
+    and the outputs of another pair.
     """
     pa, pb = a.parent, b.parent
     a_out, b_out = tr.A_out_parent, tr.B_out_parent
@@ -248,6 +323,7 @@ def _broken_traces(a, b, tr, other):
     out.append(replace(tr, B_out_parent=pb))
     out += [replace(tr, e=e) for e in sorted(a.edges - {tr.e})]
     out.append(replace(tr, e=(0, tr.j)))
+    out.append(replace(tr, e=(tr.e[0], tr.j - a.n - 1)))
     out.append(replace(tr, A_out_parent=other.A_out_parent,
                        B_out_parent=other.B_out_parent))
     return out
