@@ -21,14 +21,13 @@ Everything here is exact and sized for exhaustive checks on small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
 from .errors import InputError
-from .graphs import Forest, OrderedGraph, UnionFind, _check_forest_in_graph
+from .graphs import Forest, OrderedGraph, Record, UnionFind, _check_forest_in_graph
 from .enumeration import isf_counts
 
 
@@ -50,14 +49,13 @@ class BrokenCircuitConvention(Enum):
             raise InputError(f"unknown convention {value!r}") from None
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Univariate integer polynomial in t, coeffs[k] = coefficient of t^k."""
 
-    coeffs: tuple = ()
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs=()):
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)

@@ -15,11 +15,15 @@ Rooting every component at its minimum gives a forest its parent vector
 and caches the minima, increasingness and component sets read off it.  An
 increasing forest is exactly a vector with 0 <= parent[v] < v, so such
 vectors build forests directly, in one scan that also yields the minima.
+
+The value classes are frozen `Record`s: equality within one class, hash
+and repr (`Forest(n=3, edges=frozenset())`) read only the fields named in
+`_fields`, not values cached beside them.  A validating record binds its
+fields with object.__setattr__ in field order: shared-key dicts stay small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CyclicInput, InputError, NotInGraph
@@ -91,16 +95,48 @@ def _n_and_edges(obj, what: str) -> tuple:
     return obj["n"], obj["edges"]
 
 
-@dataclass(frozen=True)
-class OrderedGraph:
+class Record:
+    """Immutable value over `_fields`, bound positionally or by keyword."""
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OrderedGraph(Record):
     """Simple graph on vertices 1..n with the natural total order."""
 
-    n: int
-    edges: frozenset = frozenset()
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        object.__setattr__(self, "edges", _validated_edges(self.n, self.edges))
+    def __init__(self, n: int, edges=frozenset()):
+        _check_vertex_count(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", _validated_edges(n, edges))
 
     def smaller_neighbors(self, j: int) -> list:
         """Neighbors i of j with i < j, sorted increasing."""
@@ -118,25 +154,24 @@ class OrderedGraph:
         return cls(*_n_and_edges(obj, "graph"))
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Record):
     """Acyclic edge set over the ambient vertex set 1..n (spanning).
 
     Every Forest also carries `_sorted_edges`, its edges as a sorted tuple,
     which `sort_key`, `sorted_edges` and `to_json` read.
     """
 
-    n: int
-    edges: frozenset = frozenset()
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        edges = _validated_edges(self.n, self.edges)
+    def __init__(self, n: int, edges=frozenset()):
+        _check_vertex_count(n)
+        edges = _validated_edges(n, edges)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        self.__dict__["_sorted_edges"] = ordered = tuple(sorted(edges))
+        object.__setattr__(self, "_sorted_edges", ordered := tuple(sorted(edges)))
         if len({j for _, j in edges}) == len(edges):
             return
-        uf = UnionFind(self.n)
+        uf = UnionFind(n)
         for i, j in ordered:
             if not uf.union(i, j):
                 raise CyclicInput(f"edge ({i},{j}) closes a circuit")

@@ -11,16 +11,15 @@ so tests and the CLI can expose each step.
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
 B[j] = A[j].  psi checks its bookkeeping on these two vectors and builds
-no Forest (it fills its frozen trace's __dict__, as Forest.from_parent
-does, without the dataclass __init__); all else psi needs of an input
-forest is cached on it.  verify_psi checks locality on the vectors, and
-weight only where locality fails: a local move turns (A[j], B[j]) =
-(i, 0) into (0, i) and keeps every other coordinate.
+no Forest (it fills its frozen trace's __dict__ in one update, as
+Forest.from_parent does, and skips the record's __init__); all else psi
+needs of an input forest is cached on it.  verify_psi checks locality on
+the vectors, and weight only where locality fails: a local move turns
+(A[j], B[j]) = (i, 0) into (0, i) and keeps every other coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, product
 from operator import add, mul, not_
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 from .brackets import phi
 from .errors import InvariantViolation, NotIncreasing, SizeViolation
-from .graphs import Forest, OrderedGraph, _check_forest_in_graph
+from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph
 from .enumeration import enumerate_if
 
 
@@ -52,20 +51,11 @@ def _select(only_a: frozenset, sym_diff: frozenset, successor) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class PsiTrace:
+class PsiTrace(Record):
     """Everything produced by one application of the edge-moving map."""
 
-    mA: frozenset
-    mB: frozenset
-    sym_diff: frozenset
-    j: int
-    A_comp: frozenset
-    B_comp: frozenset
-    i0: int
-    e: tuple
-    A_out_parent: tuple
-    B_out_parent: tuple
+    _fields = ("mA", "mB", "sym_diff", "j", "A_comp", "B_comp", "i0", "e",
+               "A_out_parent", "B_out_parent")
     # the output Forests, built from the vectors on first access
     A_out = cached_property(lambda self: Forest.from_parent(self.A_out_parent))
     B_out = cached_property(lambda self: Forest.from_parent(self.B_out_parent))

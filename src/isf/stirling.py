@@ -15,32 +15,29 @@ leaving all spectator cycles untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, NonCanonicalCycle, NotIncreasing, SizeViolation
-from .graphs import Forest, _check_vertex_count, complete_graph, is_increasing
+from .graphs import Forest, Record, _check_vertex_count, complete_graph, is_increasing
 from .enumeration import isf_counts
 from .injection import psi
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Permutation of [n] in canonical cycle form.
 
     Every cycle starts at its minimum and cycles are sorted by minima.
     """
 
-    n: int
-    cycles: tuple
+    _fields = ("n", "cycles")
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        cycles = tuple(tuple(c) for c in self.cycles)
+    def __init__(self, n: int, cycles: tuple):
+        _check_vertex_count(n)
+        cycles = tuple(tuple(c) for c in cycles)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "cycles", cycles)
         flat = [v for c in cycles for v in c]
-        if sorted(flat) != list(range(1, self.n + 1)):
+        if sorted(flat) != list(range(1, n + 1)):
             raise NonCanonicalCycle(
-                f"cycles {cycles!r} do not partition 1..{self.n}"
+                f"cycles {cycles!r} do not partition 1..{n}"
             )
         for c in cycles:
             if c[0] != min(c):
@@ -126,13 +123,10 @@ def permutation_to_forest(p: Permutation) -> Forest:
     return Forest.from_parent(parent)
 
 
-@dataclass(frozen=True)
-class StirlingRow:
+class StirlingRow(Record):
     """Row n of the Stirling numbers of the first kind, both signs."""
 
-    n: int
-    unsigned: tuple
-    signed: tuple
+    _fields = ("n", "unsigned", "signed")
 
 
 def stirling_row(n: int) -> StirlingRow:
@@ -148,15 +142,13 @@ def stirling_row(n: int) -> StirlingRow:
     return StirlingRow(n, unsigned, signed)
 
 
-@dataclass(frozen=True)
-class PermutationMove:
+class PermutationMove(Record):
     """Result of psi conjugated through the forest bijection."""
 
-    sigma_p: Permutation
-    tau_p: Permutation
-    broken_cycle: tuple        # the cycle of sigma that was split in two
-    glued_pair: tuple          # the two cycles of tau that merged
-    spectators_unchanged: bool
+    _fields = ("sigma_p", "tau_p",
+               "broken_cycle",  # the cycle of sigma that was split in two
+               "glued_pair",    # the two cycles of tau that merged
+               "spectators_unchanged")
 
     def to_json(self) -> dict:
         return {

@@ -4,8 +4,8 @@
 survives, so the collector never runs in an `isf` process.  That is only
 free if commands build no reference cycles; the first test checks it on
 the golden corpus.  The others replay the corpus through a real
-`python -m isf.cli` process and check that `main()` itself leaves a
-library caller's GC settings alone.
+`python -m isf.cli` process, check that `main()` itself leaves a library
+caller's GC settings alone, and keep the start-up imports small.
 """
 
 import contextlib
@@ -82,6 +82,23 @@ def test_console_script_goes_through_run():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["scripts"] == {"isf": "isf.cli:run"}
+
+
+def _modules_loaded_by(code: str, names) -> set:
+    script = f"import sys\n{code}\nprint(*set({names!r}) & set(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each process start pays for what `import isf.cli` imports; these two
+    # (and inspect's ast, dis and tokenize) are needed by nothing in isf
+    names = ("dataclasses", "inspect")
+    preloaded = _modules_loaded_by("pass", names)
+    if preloaded:
+        pytest.skip(f"the bare interpreter already imports {sorted(preloaded)}")
+    assert _modules_loaded_by("import isf.cli", names) == set()
 
 
 def test_run_disables_the_collector_and_freezes_survivors(monkeypatch):
