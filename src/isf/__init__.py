@@ -47,8 +47,6 @@ from .graphs import (
     Forest,
     OrderedGraph,
     complete_graph,
-    component_minima,
-    is_increasing,
 )
 from .injection import PsiTrace, psi, select_j, verify_psi
 from .polynomials import MultiPoly, TPoly, elementary_symmetric

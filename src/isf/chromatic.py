@@ -27,7 +27,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import InputError
-from .graphs import Forest, OrderedGraph, Record, UnionFind, _check_forest_in_graph
+from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph, _joined
 from .enumeration import isf_counts
 
 
@@ -155,22 +155,21 @@ def _all_vertices_good(parent: tuple, nbrs: list) -> bool:
 def spanning_forests(g: OrderedGraph) -> list:
     """All acyclic edge subsets of g, spanning by convention."""
     out = []
-    _extend_forests(g.n, sorted(g.edges), 0, (), UnionFind(g.n).parent, out)
+    _extend_forests(g.n, sorted(g.edges), 0, (), tuple(range(g.n + 1)), out)
     return sorted(out, key=Forest.sort_key)
 
 
 def _extend_forests(n: int, edges: list, idx: int, chosen: tuple,
-                    uf_state: list, out: list) -> None:
-    """Append to out every forest that extends chosen by edges[idx:]."""
+                    label: tuple, out: list) -> None:
+    """Append to out every forest that extends chosen by edges[idx:];
+    label holds chosen's component labels, as `_joined` keeps them."""
     if idx == len(edges):
         out.append(Forest(n, frozenset(chosen)))
         return
-    _extend_forests(n, edges, idx + 1, chosen, uf_state, out)
-    uf = UnionFind(n)
-    uf.parent = list(uf_state)
-    i, j = edges[idx]
-    if uf.union(i, j):
-        _extend_forests(n, edges, idx + 1, chosen + (edges[idx],), uf.parent, out)
+    _extend_forests(n, edges, idx + 1, chosen, label, out)
+    joined = _joined(label, *edges[idx])
+    if joined is not None:
+        _extend_forests(n, edges, idx + 1, chosen + (edges[idx],), joined, out)
 
 
 @lru_cache(maxsize=64)
@@ -312,11 +311,8 @@ def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport
 
 
 def _has_movable_edge(a: Forest, b: Forest, good: dict) -> bool:
-    uf = UnionFind(b.n)
-    for edge in b.edges:
-        uf.union(*edge)
     for e in sorted(a.edges - b.edges):
-        if uf.find(e[0]) == uf.find(e[1]):
+        if e[1] in b.components[e[0]]:
             continue  # adding e to B closes a circuit
         if good[a.edges - {e}] and good[b.edges | {e}]:
             return True

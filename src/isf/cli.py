@@ -52,7 +52,8 @@ def _load_json(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from None
 
 

@@ -15,7 +15,7 @@ Enumeration, for `enumerate_if`, `a_poly` and the factorization check,
 follows the same structure: each vertex j independently either becomes a
 root or picks one edge (i, j) to a smaller neighbor i.  The picks of one
 choice vector are its forest's edge set, with every larger endpoint
-distinct, so `Forest` accepts it without union-find.  Every increasing
+distinct, so `Forest` accepts it without a cycle scan.  Every increasing
 forest arises exactly once, so there is no generate-and-filter blowup.
 The brute-force filter over all acyclic edge subsets is kept in the test
 suite as an independent oracle.

@@ -6,9 +6,9 @@ count n and is spanning by convention: isolated vertices are singleton
 components.  Acyclicity is validated at construction time: an edge set
 whose larger endpoints are all distinct gives each vertex at most one
 smaller neighbour, and a circuit's largest vertex has two, so such a set
-is a forest (an increasing one).  Only when a larger endpoint repeats does
-union-find over the sorted edges decide.  Invalid edge sets are rejected,
-never repaired.
+is a forest (an increasing one).  Only when a larger endpoint repeats is
+the sorted edge list scanned, relabeling components as it goes.  Invalid
+edge sets are rejected, never repaired; so is JSON with a repeated edge.
 
 Rooting every component at its minimum gives a forest its parent vector
 (0 marks a root), its one rooted form.  A Forest computes it lazily, once,
@@ -29,30 +29,13 @@ from functools import cached_property
 from .errors import CyclicInput, InputError, NotInGraph
 
 
-class UnionFind:
-    """Disjoint sets over 1..n with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the sets of x and y; False if they were already merged."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        # keep the smaller label as representative so roots are minima
-        self.parent[ry] = rx
-        return True
+def _joined(label: tuple, i: int, j: int):
+    """Component labels after adding edge (i, j), or None if i and j are
+    already joined.  label[v] names v's component; index 0 is unused."""
+    a, b = label[i], label[j]
+    if a == b:
+        return None
+    return tuple([a if x == b else x for x in label])
 
 
 def _check_vertex_count(n) -> None:
@@ -84,15 +67,23 @@ def _validated_edges(n: int, edges) -> frozenset:
     return frozenset(out)
 
 
-def _n_and_edges(obj, what: str) -> tuple:
-    """(n, edges) from {'n': int, 'edges': [[i,j],...]}, shape-checked."""
+def _from_json(cls, obj, what: str):
+    """cls(n, edges) from {'n': int, 'edges': [[i,j],...]}; a repeated
+    edge is rejected, not merged."""
     if not (
         isinstance(obj, dict) and "n" in obj
         and isinstance(obj.get("edges"), list)
         and all(isinstance(e, list) for e in obj["edges"])
     ):
         raise InputError(f"{what} JSON must be {{'n': int, 'edges': [[i,j],...]}}")
-    return obj["n"], obj["edges"]
+    out = cls(obj["n"], obj["edges"])
+    if len(out.edges) < len(obj["edges"]):
+        seen = set()
+        for i, j in obj["edges"]:  # each one validated by cls
+            if (i, j) in seen:
+                raise InputError(f"edge ({i},{j}) is repeated")
+            seen.add((i, j))
+    return out
 
 
 class Record:
@@ -151,7 +142,7 @@ class OrderedGraph(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrderedGraph":
-        return cls(*_n_and_edges(obj, "graph"))
+        return _from_json(cls, obj, "graph")
 
 
 class Forest(Record):
@@ -171,9 +162,9 @@ class Forest(Record):
         object.__setattr__(self, "_sorted_edges", ordered := tuple(sorted(edges)))
         if len({j for _, j in edges}) == len(edges):
             return
-        uf = UnionFind(n)
+        label = tuple(range(n + 1))
         for i, j in ordered:
-            if not uf.union(i, j):
+            if (label := _joined(label, i, j)) is None:
                 raise CyclicInput(f"edge ({i},{j}) closes a circuit")
 
     @classmethod
@@ -270,12 +261,7 @@ class Forest(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Forest":
-        return cls(*_n_and_edges(obj, "forest"))
-
-
-def component_minima(f: Forest) -> frozenset:
-    """m(f): the set of minimum vertices of the components of f."""
-    return f.minima
+        return _from_json(cls, obj, "forest")
 
 
 def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:
@@ -285,11 +271,6 @@ def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:
         raise NotInGraph(f"{label} has n={f.n}, graph has n={g.n}")
     if not f.edges <= g.edges:
         raise NotInGraph(f"{label} uses non-graph edges {sorted(f.edges - g.edges)}")
-
-
-def is_increasing(f: Forest) -> bool:
-    """True iff labels increase along every root-to-leaf path."""
-    return f.increasing
 
 
 def complete_graph(n: int) -> OrderedGraph:

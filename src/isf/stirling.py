@@ -16,7 +16,7 @@ leaving all spectator cycles untouched.
 from __future__ import annotations
 
 from .errors import InputError, NonCanonicalCycle, NotIncreasing, SizeViolation
-from .graphs import Forest, Record, _check_vertex_count, complete_graph, is_increasing
+from .graphs import Forest, Record, _check_vertex_count, complete_graph
 from .enumeration import isf_counts
 from .injection import psi
 
@@ -96,7 +96,7 @@ class Permutation(Record):
 
 def forest_to_permutation(f: Forest) -> Permutation:
     """One cycle per tree: preorder from the root, children largest first."""
-    if not is_increasing(f):
+    if not f.increasing:
         raise NotIncreasing("bijection is only defined on increasing forests")
     children = [[] for _ in range(f.n + 1)]  # children[0] lists the roots
     for v in range(1, f.n + 1):

@@ -15,13 +15,12 @@ import pytest
 
 from isf import (
     Forest, IntPoly, MultiPoly, OrderedGraph, a_poly, broken_circuits,
-    enumerate_if, is_increasing, spanning_forests,
+    enumerate_if, spanning_forests,
 )
 from isf.chromatic import (
     BrokenCircuitConvention, MovableSearchReport, WhitneyReport,
     apply_relabeling,
 )
-from isf.graphs import UnionFind
 
 
 @contextmanager
@@ -53,8 +52,7 @@ def acyclic_subsets(g):
     out = []
     for r in range(len(edges) + 1):
         for sub in combinations(edges, r):
-            uf = UnionFind(g.n)
-            if all(uf.union(i, j) for (i, j) in sub):
+            if reference_circuit_edge(g.n, sub) is None:
                 out.append(Forest(g.n, frozenset(sub)))
     return out
 
@@ -62,7 +60,7 @@ def acyclic_subsets(g):
 def reference_circuit_edge(n, edges):
     """The first edge in sorted order that closes a circuit with the edges
     before it, or None if edges is a forest.  Components are tracked by
-    relabeling, not by the union-find of isf.graphs."""
+    relabeling a list here, with nothing from isf."""
     label = list(range(n + 1))
     for i, j in sorted(edges):
         if label[i] == label[j]:
@@ -77,7 +75,7 @@ def brute_force_increasing_forests(g, k):
     return sorted(
         (
             f for f in acyclic_subsets(g)
-            if f.component_count() == k and is_increasing(f)
+            if f.component_count() == k and f.increasing
         ),
         key=Forest.sort_key,
     )
@@ -256,18 +254,15 @@ def orient_goodvertex(g, f):
 
 
 def per_edge_movable_search(g, relabeling=None):
-    """Movable-edge search that rebuilds B's union-find for every candidate
-    edge and validates both moved forests before testing them."""
+    """Movable-edge search that rescans B plus each candidate edge for a
+    circuit and validates both moved forests before testing them."""
     if relabeling is not None:
         g = apply_relabeling(g, relabeling)
     admissible = [f for f in spanning_forests(g) if orient_goodvertex(g, f)]
 
     def has_movable_edge(a, b):
         for e in sorted(a.edges - b.edges):
-            uf = UnionFind(g.n)
-            for edge in b.edges:
-                uf.union(*edge)
-            if not uf.union(*e):
+            if reference_circuit_edge(g.n, b.edges | {e}) is not None:
                 continue
             a_out = Forest(g.n, a.edges - {e})
             b_out = Forest(g.n, b.edges | {e})
@@ -320,10 +315,8 @@ def brute_force_cycle_counts(n):
 
 
 def is_connected(g):
-    uf = UnionFind(g.n)
-    for i, j in g.edges:
-        uf.union(i, j)
-    return len({uf.find(v) for v in range(1, g.n + 1)}) <= 1
+    """True iff BFS over g's edge list from vertex 1 meets every vertex."""
+    return not g.n or len(reference_component(g, 1)) == g.n
 
 
 def random_graph(rng, n):

@@ -187,8 +187,9 @@ def test_admissible_matches_orient_oracle():
             )
 
 
-def test_movable_search_matches_per_edge_oracle():
-    for g in [*all_edge_subsets(4), complete_graph(5)]:
+def test_movable_search_matches_per_edge_oracle(graphs_on_5):
+    sample = Random(14).sample(graphs_on_5, 64)
+    for g in [*all_edge_subsets(4), complete_graph(5), *sample]:
         assert movable_edge_search(g) == per_edge_movable_search(g), g
     for perm in ([1, 3, 4, 2], [4, 3, 2, 1]):
         assert movable_edge_search(G33, perm) == (
@@ -235,8 +236,8 @@ def test_nbc_downward_closed():
                     assert is_nbc(g, Forest(f.n, f.edges - {e}), conv)
 
 
-def test_spanning_forests_matches_brute_force():
-    for g in all_edge_subsets(4):
+def test_spanning_forests_matches_brute_force(graphs_on_5):
+    for g in [*all_edge_subsets(4), *graphs_on_5]:
         assert spanning_forests(g) == sorted(
             acyclic_subsets(g), key=Forest.sort_key
         )

@@ -195,7 +195,7 @@ def test_forest_in_graph_diagnostics(capsys, monkeypatch, tmp_path, argv, stdout
 
 
 def test_cyclic_forest_diagnostic(capsys, monkeypatch, tmp_path):
-    # the triangle's larger endpoint 3 repeats, so union-find decides
+    # the triangle's larger endpoint 3 repeats, so the relabeling scan decides
     _write_forests(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main("admissible --graph k3.json --forest k3.json".split()) == 2
@@ -249,6 +249,33 @@ def test_stdin_input(capsys, monkeypatch):
     status, rep = run(capsys, "chromatic", "--graph", "-")
     assert status == 0
     assert rep["payload"]["poly"]["coeffs"] == [0, 2, -3, 1]
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"\xff\xfe\x7b", "can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "too-deep"])
+def test_unreadable_json_exit_code(capsys, monkeypatch, tmp_path, data, reason):
+    path = tmp_path / "g.json"
+    path.write_bytes(data)
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    for source in (str(path), "-"):
+        status, rep = run(capsys, "chromatic", "--graph", source)
+        assert status == 2 and not rep["ok"] and rep["payload"] is None
+        (message,) = rep["diagnostics"]
+        assert message.startswith(f"cannot read JSON from {source}: ")
+        assert reason in message
+
+
+def test_repeated_edge_is_rejected(capsys, k3, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3], [1, 2]]}))
+    for argv in (["chromatic", "--graph", str(path)],
+                 ["admissible", "--graph", k3, "--forest", str(path)]):
+        status, rep = run(capsys, *argv)
+        assert status == 2 and not rep["ok"] and rep["payload"] is None
+        assert rep["diagnostics"] == ["edge (1,2) is repeated"]
 
 
 @pytest.mark.parametrize("graph", [

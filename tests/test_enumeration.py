@@ -59,13 +59,15 @@ def test_enumeration_matches_brute_force_oracle():
             assert enumerate_if(g, k) == brute_force_increasing_forests(g, k)
 
 
-def test_enumeration_and_psi_never_reach_union_find(monkeypatch):
+def test_enumeration_and_psi_never_scan_for_circuits(monkeypatch):
     # every enumerated forest has distinct larger endpoints, so Forest
-    # needs no union-find for it
-    def refuse(n):
-        raise RuntimeError("UnionFind reached")
+    # accepts it without the relabeling scan for a circuit
+    def refuse(label, i, j):
+        raise RuntimeError("cycle scan reached")
 
-    monkeypatch.setattr(isf.graphs, "UnionFind", refuse)
+    monkeypatch.setattr(isf.graphs, "_joined", refuse)
+    with pytest.raises(RuntimeError, match="cycle scan reached"):
+        Forest(3, frozenset({(1, 3), (2, 3)}))
     _forests_by_components.cache_clear()
     k6 = complete_graph(6)
     assert tuple(len(enumerate_if(k6, k)) for k in range(7)) == isf_counts(k6)

@@ -10,9 +10,7 @@ from isf import (
     InputError,
     OrderedGraph,
     complete_graph,
-    component_minima,
     enumerate_if,
-    is_increasing,
 )
 from isf.enumeration import _forests_by_components
 from conftest import (
@@ -108,45 +106,45 @@ def test_sorted_edges_are_not_shared_mutable_state():
 def test_orient_star():
     f = Forest(3, frozenset({(1, 2), (1, 3)}))
     assert f.parent == reference_parent(f) == (0, 0, 1, 1)
-    assert component_minima(f) == frozenset({1})
+    assert f.minima == frozenset({1})
 
 
 def test_orient_empty():
     f = Forest(3)
     assert f.parent == reference_parent(f) == (0, 0, 0, 0)
-    assert component_minima(f) == frozenset({1, 2, 3})
+    assert f.minima == frozenset({1, 2, 3})
 
 
 def test_orient_worked_forest():
     assert F1.parent == reference_parent(F1)
-    assert component_minima(F1) == frozenset({1, 3})
+    assert F1.minima == frozenset({1, 3})
     assert F1.parent[7] == 4 and F1.parent[9] == 4 and F1.parent[8] == 6
 
 
 def test_is_increasing():
-    assert is_increasing(F1)
-    assert not is_increasing(Forest(9, frozenset(F2_EDGES)))
-    assert is_increasing(Forest(3))
+    assert F1.increasing
+    assert not Forest(9, frozenset(F2_EDGES)).increasing
+    assert Forest(3).increasing
 
 
 def test_component_minima():
-    assert component_minima(F1) == frozenset({1, 3})
-    assert component_minima(Forest(4)) == frozenset({1, 2, 3, 4})
-    assert component_minima(Forest(3, frozenset({(2, 3)}))) == frozenset({1, 2})
+    assert F1.minima == frozenset({1, 3})
+    assert Forest(4).minima == frozenset({1, 2, 3, 4})
+    assert Forest(3, frozenset({(2, 3)})).minima == frozenset({1, 2})
 
 
 def test_minima_plus_edges_is_n():
     # over all forests of K_4
     for f in acyclic_subsets(complete_graph(4)):
-        assert len(component_minima(f)) + len(f.edges) == f.n
+        assert len(f.minima) + len(f.edges) == f.n
 
 
 def test_edge_removal_preserves_increasing():
     for f in acyclic_subsets(complete_graph(5)):
-        if not is_increasing(f):
+        if not f.increasing:
             continue
         for e in f.edges:
-            assert is_increasing(Forest(f.n, f.edges - {e}))
+            assert Forest(f.n, f.edges - {e}).increasing
 
 
 def test_orient_deterministic():
@@ -169,12 +167,15 @@ def test_json_round_trip():
 def test_json_rejects_with_diagnostic():
     with pytest.raises(InputError, match=r"\(2,5\)"):
         OrderedGraph.from_json({"n": 4, "edges": [[2, 5]]})
+    for cls in (OrderedGraph, Forest):
+        with pytest.raises(InputError, match=r"^edge \(2,3\) is repeated$"):
+            cls.from_json({"n": 3, "edges": [[2, 3], [1, 2], [2, 3]]})
 
 
 def test_parent_matches_bfs_reference_on_k5():
     forests = acyclic_subsets(complete_graph(5))
     assert len(forests) == 291
-    assert any(not is_increasing(f) for f in forests)
+    assert any(not f.increasing for f in forests)
     for f in forests:
         assert f.parent == reference_parent(f), sorted(f.edges)
 
@@ -227,8 +228,6 @@ def test_cached_rooted_data_matches_bfs_reference_on_k5():
         assert f.components[0] == frozenset()
         for v in range(1, 6):
             assert f.components[v] == reference_component(f, v), (f.edges, v)
-        assert component_minima(f) is f.minima
-        assert is_increasing(f) is f.increasing
         assert {"minima", "increasing", "components"} <= set(vars(f))
 
 

@@ -18,9 +18,7 @@ from isf import (
     OrderedGraph,
     SizeViolation,
     complete_graph,
-    component_minima,
     enumerate_if,
-    is_increasing,
     phi,
     phi_reversed,
     psi,
@@ -189,9 +187,9 @@ def test_minima_bookkeeping():
     for a in enumerate_if(K4, 1):
         for b in enumerate_if(K4, 3):
             tr = psi(K4, a, b)
-            ma, mb = component_minima(a), component_minima(b)
-            assert component_minima(tr.A_out) == ma | {tr.j}
-            assert component_minima(tr.B_out) == mb - {tr.j}
+            ma, mb = a.minima, b.minima
+            assert tr.A_out.minima == ma | {tr.j}
+            assert tr.B_out.minima == mb - {tr.j}
             # unions / intersections / symmetric differences preserved
             assert (ma | {tr.j}) | (mb - {tr.j}) == ma | mb
             assert (ma | {tr.j}) & (mb - {tr.j}) == ma & mb
@@ -250,7 +248,7 @@ def test_outputs_increasing_and_counts_shift():
     for a in enumerate_if(K4, 2):
         for b in enumerate_if(K4, 4):
             tr = psi(K4, a, b)
-            assert is_increasing(tr.A_out) and is_increasing(tr.B_out)
+            assert tr.A_out.increasing and tr.B_out.increasing
             assert tr.A_out.component_count() == 3
             assert tr.B_out.component_count() == 3
 
