@@ -11,10 +11,11 @@ The hot paths work on raw edge sets and parent vectors; validated graphs
 and forests appear only at their inputs and outputs.  The chromatic
 polynomial is a frontier DP over the vertex order (Noble, CPC 1998, for
 bounded tree-width): it reads only adjacency and never recurses.
-Whitney's NBC forests are counted by backtracking over the sorted edges
-that tests each broken circuit when its last edge is added, so it never
-visits a superset of one.  Admissibility is read off the minima-rooted
-parent vector.
+Whitney's NBC forests are counted by backtracking over the ordered edges
+with the component labels of the forest so far: an edge whose ends are
+already joined is externally active, so the branch holds a broken circuit
+and is cut, and no circuit is ever listed.  Admissibility is read off the
+minima-rooted parent vector.
 
 Everything here is exact and sized for exhaustive checks on small graphs.
 """
@@ -45,7 +46,7 @@ class BrokenCircuitConvention(Enum):
         }
         try:
             return aliases[value]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list
             raise InputError(f"unknown convention {value!r}") from None
 
 
@@ -219,45 +220,39 @@ def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
     """Compare NBC forest counts per component number against the absolute
     values of the chromatic polynomial coefficients.
 
-    The NBC forests are counted, not built: see `_nbc_counts`.
+    The NBC forests are counted by `_extend_nbc`, with no circuit listed,
+    on the edges taken decreasing for remove-min and increasing for
+    remove-max: each broken circuit's omitted edge comes after the rest of
+    its circuit.
     """
     convention = BrokenCircuitConvention.parse(convention)
-    counts = _nbc_counts(g, broken_circuits(g, convention))
+    edges = g.sorted_edges
+    if convention is BrokenCircuitConvention.REMOVE_MIN:
+        edges = edges[::-1]
+    counts = [0] * (g.n + 1)
+    _extend_nbc(edges, 0, tuple(range(g.n + 1)), g.n, counts)
     p = chromatic_polynomial(g)
     coeffs = [abs(p.coefficient(k)) for k in range(g.n + 1)]
     return WhitneyReport(counts, coeffs, counts == coeffs)
 
 
-def _nbc_counts(g: OrderedGraph, bcs: list) -> list:
-    """counts[k] = number of k-component forests of g with no broken
-    circuit; bcs must be all broken circuits of g under one convention.
-
-    Backtracking adds edges in increasing order, so each edge set is met
-    once, by its sorted sequence.  A broken circuit is tested only when its
-    last edge is added; a set that contains it is cut there, so none of its
-    supersets is visited.  No separate cycle test is needed: every circuit
-    contains its broken circuit, so every set met is a forest.
-    """
-    edges = g.sorted_edges
-    index = {e: idx for idx, e in enumerate(edges)}
-    closing = [[] for _ in edges]  # bit masks of the bcs ending at each edge
-    for bc in bcs:
-        bits = [index[e] for e in bc]
-        closing[max(bits)].append(sum(1 << b for b in bits))
-    counts = [0] * (g.n + 1)
-    _extend_nbc(closing, 0, 0, g.n, counts)
-    return counts
-
-
-def _extend_nbc(closing: list, start: int, chosen: int, k: int,
+def _extend_nbc(edges: list, start: int, label: tuple, k: int,
                 counts: list) -> None:
-    """Count in counts the NBC sets that extend the bit mask chosen (k
-    components) by edges from start on; closing as in `_nbc_counts`."""
+    """Count in counts the NBC forests that extend the forest with
+    component labels label (k components, edges all before start) by
+    edges from start on.
+
+    A forest holds a broken circuit iff an edge outside it is externally
+    active: its ends are joined by the forest's edges before it (Bjorner
+    1992).  An edge whose ends are already joined is active for this forest
+    and for every forest that extends it, so the branch ends there.
+    """
+    for idx in range(start, len(edges)):
+        joined = _joined(label, *edges[idx])
+        if joined is None:
+            return
+        _extend_nbc(edges, idx + 1, joined, k - 1, counts)
     counts[k] += 1
-    for idx in range(start, len(closing)):
-        grown = chosen | (1 << idx)
-        if not any(bc & grown == bc for bc in closing[idx]):
-            _extend_nbc(closing, idx + 1, grown, k - 1, counts)
 
 
 class MovableSearchReport(NamedTuple):

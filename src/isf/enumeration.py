@@ -24,12 +24,12 @@ suite as an independent oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import IndexViolation, InputError
 from .graphs import Forest, OrderedGraph
-from .polynomials import MultiPoly, NonnegReport, TPoly, elementary_symmetric
+from .polynomials import MultiPoly, NonnegReport, TPoly
 
 
 @lru_cache(maxsize=4)
@@ -130,18 +130,12 @@ def _y_difference(g: OrderedGraph, p: int, q: int) -> MultiPoly:
     """e_{n-p}*e_{n-q} - e_{n-p+1}*e_{n-q-1} in the index variables y_j.
 
     Only the j with a smaller neighbor carry a nonzero y_j, so the e_r are
-    taken over those, with index i of `elementary_symmetric` renamed to the
-    i-th of them.
+    taken over those; an r above their number gives zero.
     """
     js = sorted({j for _, j in g.edges})
 
     def e(r: int) -> MultiPoly:
-        if not 0 <= r <= len(js):
-            return MultiPoly.zero()
-        return MultiPoly({
-            tuple(js[i - 1] for i in m): c
-            for m, c in elementary_symmetric(len(js), r).terms.items()
-        })
+        return MultiPoly(dict.fromkeys(combinations(js, r), 1))
 
     n = g.n
     return e(n - p) * e(n - q) - e(n - p + 1) * e(n - q - 1)

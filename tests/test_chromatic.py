@@ -53,6 +53,12 @@ def test_broken_circuits_conventions():
     assert broken_circuits(OrderedGraph(3, frozenset({(1, 2)})), "min") == []
     with pytest.raises(InputError):
         broken_circuits(G33, "median")
+    # unhashable values are unknown conventions too, not a TypeError
+    for bad in (["min"], {}, None):
+        with pytest.raises(InputError, match="unknown convention"):
+            broken_circuits(K3, bad)
+        with pytest.raises(InputError, match="unknown convention"):
+            whitney_check(G33, bad)
 
 
 def test_good_vertex_examples():
@@ -177,6 +183,29 @@ def test_whitney_matches_enumerative_oracle(graphs_on_5):
             assert whitney_check(g, convention) == (
                 enumerative_whitney(g, convention)
             ), (g, convention)
+
+
+def test_whitney_lists_no_circuit(monkeypatch):
+    graphs = [petersen_graph(), band_graph(8, 3)]
+    want = [
+        (g, c, enumerative_whitney(g, c)) for g in graphs for c in ("min", "max")
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("whitney_check listed circuits")
+
+    monkeypatch.setattr(isf.chromatic, "circuits", forbidden)
+    monkeypatch.setattr(isf.chromatic, "broken_circuits", forbidden)
+    for g, convention, report in want:
+        assert whitney_check(g, convention) == report, (g, convention)
+
+
+def test_whitney_k8_is_the_stirling_row():
+    # unsigned Stirling numbers of the first kind c(8, k), k = 0..8
+    row = [0, 5040, 13068, 13132, 6769, 1960, 322, 28, 1]
+    with time_limit(2):
+        rep = whitney_check(complete_graph(8), "min")
+    assert rep.counts == row and rep.equal
 
 
 def test_admissible_matches_orient_oracle():
