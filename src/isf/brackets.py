@@ -49,7 +49,11 @@ def _as_ground(ground) -> tuple:
 
 
 def _check_subset(ground: tuple, members, subset) -> frozenset:
-    sub = frozenset(subset)
+    # a frozenset X is its own, repeat-free set
+    items = subset if type(subset) is frozenset else tuple(subset)
+    sub = frozenset(items)
+    if len(sub) != len(items):
+        raise NotASubset(f"subset has repeated elements: {subset!r}")
     if not sub <= members:
         raise NotASubset(f"{sorted(sub)} is not a subset of {list(ground)}")
     return sub

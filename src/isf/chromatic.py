@@ -11,11 +11,11 @@ The hot paths work on raw edge sets and parent vectors; validated graphs
 and forests appear only at their inputs and outputs.  The chromatic
 polynomial is a frontier DP over the vertex order (Noble, CPC 1998, for
 bounded tree-width): it reads only adjacency and never recurses.
-Whitney's NBC forests are counted by backtracking over the ordered edges
-with the component labels of the forest so far: an edge whose ends are
-already joined is externally active, so the branch holds a broken circuit
-and is cut, and no circuit is ever listed.  Admissibility is read off the
-minima-rooted parent vector.
+Whitney's NBC forests are counted in one pass over the ordered edges, on
+the component labels of the forests so far: an edge whose ends are already
+joined is externally active, so those forests hold a broken circuit and
+are dropped, and no circuit is ever listed.  Spanning forests are grown on
+the same labels.  Admissibility is read off the minima-rooted parent vector.
 
 Everything here is exact and sized for exhaustive checks on small graphs.
 """
@@ -154,23 +154,13 @@ def _all_vertices_good(parent: tuple, nbrs: list) -> bool:
 
 
 def spanning_forests(g: OrderedGraph) -> list:
-    """All acyclic edge subsets of g, spanning by convention."""
-    out = []
-    _extend_forests(g.n, sorted(g.edges), 0, (), tuple(range(g.n + 1)), out)
-    return sorted(out, key=Forest.sort_key)
-
-
-def _extend_forests(n: int, edges: list, idx: int, chosen: tuple,
-                    label: tuple, out: list) -> None:
-    """Append to out every forest that extends chosen by edges[idx:];
-    label holds chosen's component labels, as `_joined` keeps them."""
-    if idx == len(edges):
-        out.append(Forest(n, frozenset(chosen)))
-        return
-    _extend_forests(n, edges, idx + 1, chosen, label, out)
-    joined = _joined(label, *edges[idx])
-    if joined is not None:
-        _extend_forests(n, edges, idx + 1, chosen + (edges[idx],), joined, out)
+    """All acyclic edge subsets of g, spanning by convention, grown edge
+    by edge with the chosen edges' component labels, as `_joined` keeps them."""
+    grown = [((), tuple(range(g.n + 1)))]
+    for e in g.sorted_edges:
+        grown += [(chosen + (e,), joined) for chosen, label in grown
+                  if (joined := _joined(label, *e)) is not None]
+    return sorted((Forest(g.n, frozenset(c)) for c, _ in grown), key=Forest.sort_key)
 
 
 @lru_cache(maxsize=64)
@@ -220,39 +210,43 @@ def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
     """Compare NBC forest counts per component number against the absolute
     values of the chromatic polynomial coefficients.
 
-    The NBC forests are counted by `_extend_nbc`, with no circuit listed,
-    on the edges taken decreasing for remove-min and increasing for
-    remove-max: each broken circuit's omitted edge comes after the rest of
-    its circuit.
+    A forest holds a broken circuit iff an edge outside it is externally
+    active: its ends are joined by the forest's edges before it (Bjorner
+    1992).  The edges go decreasing for remove-min and increasing for
+    remove-max, so each broken circuit's omitted edge comes after the rest
+    of its circuit.  A state is a `_joined` label tuple, 0 on vertices with
+    no later edge and other blocks renumbered by first vertex; it maps to
+    its NBC counts by number of edges chosen.  A state whose labels join
+    an edge's ends dies there; any other skips or takes the edge.
     """
     convention = BrokenCircuitConvention.parse(convention)
     edges = g.sorted_edges
     if convention is BrokenCircuitConvention.REMOVE_MIN:
         edges = edges[::-1]
-    counts = [0] * (g.n + 1)
-    _extend_nbc(edges, 0, tuple(range(g.n + 1)), g.n, counts)
+    last = {v: idx for idx, e in enumerate(edges) for v in e}
+    states = {tuple(range(g.n + 1)): (1,)}
+    for idx, (u, v) in enumerate(edges):
+        gone = [w for w in (u, v) if last[w] == idx]
+        grown = {}
+        for label, by_edges in states.items():
+            if label[u] == label[v]:
+                continue  # (u, v) is externally active for every completion
+            for new, weight in ((label, by_edges + (0,)),
+                                (_joined(label, u, v), (0, *by_edges))):
+                new = list(new)
+                for w in gone:
+                    new[w] = 0
+                first = {}
+                key = tuple([first.setdefault(x, w) for w, x in enumerate(new)])
+                if key in grown:
+                    weight = tuple(map(add, grown[key], weight))
+                grown[key] = weight
+        states = grown
+    (by_edges,) = states.values()
+    counts = list((by_edges + (0,) * g.n)[g.n::-1])
     p = chromatic_polynomial(g)
     coeffs = [abs(p.coefficient(k)) for k in range(g.n + 1)]
     return WhitneyReport(counts, coeffs, counts == coeffs)
-
-
-def _extend_nbc(edges: list, start: int, label: tuple, k: int,
-                counts: list) -> None:
-    """Count in counts the NBC forests that extend the forest with
-    component labels label (k components, edges all before start) by
-    edges from start on.
-
-    A forest holds a broken circuit iff an edge outside it is externally
-    active: its ends are joined by the forest's edges before it (Bjorner
-    1992).  An edge whose ends are already joined is active for this forest
-    and for every forest that extends it, so the branch ends there.
-    """
-    for idx in range(start, len(edges)):
-        joined = _joined(label, *edges[idx])
-        if joined is None:
-            return
-        _extend_nbc(edges, idx + 1, joined, k - 1, counts)
-    counts[k] += 1
 
 
 class MovableSearchReport(NamedTuple):

@@ -52,8 +52,8 @@ def _load_json(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:
+    # ValueError: undecodable bytes, bad JSON, an int over the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from None
 
 
@@ -280,13 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(command: str, ok: bool, payload, diagnostics) -> None:
-    report = {
-        "command": command,
-        "ok": ok,
-        "payload": payload,
-        "diagnostics": diagnostics,
-    }
-    print(json.dumps(report, sort_keys=True))
+    report = {"command": command, "ok": ok, "payload": payload,
+              "diagnostics": diagnostics}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact results may exceed it; input keeps it
+    try:
+        text = json.dumps(report, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def main(argv=None) -> int:

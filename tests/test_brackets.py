@@ -50,6 +50,8 @@ def test_frozenset_and_list_callers_agree(fn):
         assert outcome(frozenset(ground), frozenset({0}))[0] is NotASubset
     with pytest.raises(NotASubset, match="repeated"):
         fn([1, 1, 2], [1])
+    with pytest.raises(NotASubset, match="repeated"):
+        fn([1, 2, 3, 4, 5], [1, 1])
 
 
 def test_phi_inverse_round_trips():
@@ -142,6 +144,9 @@ def test_bracket_state_chain_invariant():
 
 def test_subset_pair_map_examples():
     assert subset_pair_map(3, {1}, {2, 3}) == ({1, 3}, {2}, 3)
+    for x, y in (([1, 1], [2, 3, 4]), ([1], [2, 3, 3, 4])):
+        with pytest.raises(NotASubset, match="repeated"):
+            subset_pair_map(4, x, y)
     assert subset_pair_map(1, set(), {1}) == ({1}, set(), 1)
     assert subset_pair_map(2, set(), {1, 2}) == ({2}, {1}, 2)
     with pytest.raises(SizeViolation):

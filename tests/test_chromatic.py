@@ -21,6 +21,7 @@ from isf import (
     movable_edge_search,
     peo_isf_check,
     spanning_forests,
+    stirling_row,
     whitney_check,
 )
 from isf.chromatic import apply_relabeling
@@ -206,6 +207,29 @@ def test_whitney_k8_is_the_stirling_row():
     with time_limit(2):
         rep = whitney_check(complete_graph(8), "min")
     assert rep.counts == row and rep.equal
+
+
+def test_whitney_k9_is_the_stirling_row():
+    row = list(stirling_row(9).unsigned)
+    for convention in ("min", "max"):
+        with time_limit(10):
+            rep = whitney_check(complete_graph(9), convention)
+        assert rep.counts == row and rep.equal, convention
+
+
+def test_whitney_cli_on_long_path_prints_one_report(tmp_path, capsys):
+    # a tree: every forest is NBC, C(n - 1, n - k) of them with k components
+    n = 1100
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps(_path(n).to_json()))
+    with time_limit(60):
+        status = main(["check", "whitney", "--graph", str(graph)])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0 and len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["ok"] and report["diagnostics"] == []
+    want = [comb(n - 1, n - k) for k in range(n + 1)]
+    assert report["payload"]["counts"] == report["payload"]["coeffs"] == want
 
 
 def test_admissible_matches_orient_oracle():

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isf import stirling_row
 from isf.cli import main
 
 
@@ -254,7 +256,8 @@ def test_stdin_input(capsys, monkeypatch):
 @pytest.mark.parametrize("data, reason", [
     (b"\xff\xfe\x7b", "can't decode byte 0xff"),
     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
-], ids=["not-utf8", "too-deep"])
+    (b'{"n": ' + b"9" * 5000 + b', "edges": []}', "for integer string conversion"),
+], ids=["not-utf8", "too-deep", "int-over-digit-limit"])
 def test_unreadable_json_exit_code(capsys, monkeypatch, tmp_path, data, reason):
     path = tmp_path / "g.json"
     path.write_bytes(data)
@@ -266,6 +269,36 @@ def test_unreadable_json_exit_code(capsys, monkeypatch, tmp_path, data, reason):
         (message,) = rep["diagnostics"]
         assert message.startswith(f"cannot read JSON from {source}: ")
         assert reason in message
+
+
+def test_exact_results_print_past_the_digit_limit(capsys):
+    # c(400, 1) = 399! has 867 digits
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status = main(["stirling", "row", "--n", "400"])
+        limit = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert limit == 640  # lifted for the output only
+    rep = json.loads(capsys.readouterr().out)
+    row = stirling_row(400)
+    assert status == 0 and rep["ok"] and len(str(row.unsigned[1])) > 640
+    assert rep["payload"]["unsigned"] == list(row.unsigned)
+    assert rep["payload"]["signed"] == list(row.signed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--ground", "1,2,3,4,5", "--subset", "1,1"],
+    ["phi", "--ground", "1,2,3,4,5", "--subset", "2,2", "--invert"],
+    ["subset-map", "--n", "4", "--x", "1,1", "--y", "2,3,4"],
+    ["subset-map", "--n", "4", "--x", "1", "--y", "2,3,3"],
+], ids=["phi", "phi-invert", "subset-map-x", "subset-map-y"])
+def test_repeated_subset_element_is_rejected(capsys, argv):
+    status, rep = run(capsys, *argv)
+    assert status == 2 and not rep["ok"] and rep["payload"] is None
+    (message,) = rep["diagnostics"]
+    assert message.startswith("subset has repeated elements")
 
 
 def test_repeated_edge_is_rejected(capsys, k3, tmp_path):

@@ -30,6 +30,30 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _calls_itself(func, call) -> bool:
+    """True iff call names func: `f(...)`, or `self.f(...)`/`cls.f(...)`."""
+    target = call.func
+    if isinstance(target, ast.Attribute):
+        if getattr(target.value, "id", None) not in ("self", "cls"):
+            return False  # a method of another object, e.g. a.to_json()
+        return target.attr == func.name
+    return getattr(target, "id", None) == func.name
+
+
+def test_no_function_in_the_package_calls_itself():
+    # every loop is explicit, so no input can exhaust the recursion limit
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{call.lineno} {func.name}"
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call) and _calls_itself(func, call)
+        ]
+    assert found == []
+
+
 REPLAY = """
 import contextlib, io, json, os, sys
 from isf.cli import main

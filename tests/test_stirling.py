@@ -151,6 +151,7 @@ def _all_perms(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_permutation_psi_spectators_exhaustive(n):
     perms = _all_perms(n)
+    images = []
     for sigma in perms:
         for tau in perms:
             if sigma.cycle_count() >= tau.cycle_count():
@@ -161,6 +162,9 @@ def test_permutation_psi_spectators_exhaustive(n):
             assert move.tau_p.cycle_count() == tau.cycle_count() - 1
             assert move.broken_cycle in sigma.cycles
             assert all(c in tau.cycles for c in move.glued_pair)
+            images.append((move.sigma_p, move.tau_p))
+    # injective: no two pairs (sigma, tau) share an image (sigma', tau')
+    assert len(images) == len(set(images)) == {3: 11, 4: 191, 5: 4999}[n]
 
 
 def test_unsigned_stirling_logconcavity():
