@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .brackets import phi, phi_inverse, subset_pair_map
@@ -288,7 +289,10 @@ def _emit(command: str, ok: bool, payload, diagnostics) -> None:
         text = json.dumps(report, sort_keys=True)
     finally:
         sys.set_int_max_str_digits(limit)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left; spare the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

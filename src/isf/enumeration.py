@@ -4,27 +4,29 @@ The generating polynomial factors as ISF(G; t) = prod_j (t + y_j), where
 y_j is the sum of x_(i,j) over the smaller neighbors i of j (Hallam-Sagan).
 So the k-component forests number the t^k coefficient of prod_j (t + d_j),
 d_j = |{i < j : (i, j) in E}|, and `isf_counts` reads them off in O(n^2)
-integer arithmetic.  Strong log-concavity is checked in the variables y_j
-too: a_k = e_{n-k}(y_1, ..., y_n), and since every x_(i,j) lies in exactly
-one y_j, each x-coefficient of a difference is the coefficient of its
-y-image times a positive multinomial, so the two have the same signs.
-Neither path builds a forest; the enumerative versions are their oracles
-in the test suite.
+integer arithmetic.  Strong log-concavity is checked in the y_j too:
+a_k = e_{n-k}(y), and each x-coefficient of a difference is its y-image's
+coefficient times a positive multinomial.  In e_r*e_s - e_{r+1}*e_{s-1},
+r = n-p >= s = n-q, a y-monomial with a squares and b single factors has
+coefficient C(b, r-a) - C(b, r+1-a), and r - a >= b/2 keeps it >= 0.  The
+x-level content of the weighted statement is the edge-moving injection
+psi's: the pairs outside its image weigh a_p*a_q - a_{p-1}*a_{q+1}.
+Neither path builds a forest; the enumerative versions are test oracles.
 
 Enumeration, for `enumerate_if`, `a_poly` and the factorization check,
 follows the same structure: each vertex j independently either becomes a
 root or picks one edge (i, j) to a smaller neighbor i.  The picks of one
 choice vector are its forest's edge set, with every larger endpoint
 distinct, so `Forest` accepts it without a cycle scan.  Every increasing
-forest arises exactly once, so there is no generate-and-filter blowup.
-The brute-force filter over all acyclic edge subsets is kept in the test
-suite as an independent oracle.
+forest arises exactly once; the brute-force filter over all acyclic edge
+subsets is the test suite's independent oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import NamedTuple
 
 from .errors import IndexViolation, InputError
@@ -36,9 +38,8 @@ from .polynomials import MultiPoly, NonnegReport, TPoly
 def _forests_by_components(g: OrderedGraph) -> dict:
     """All increasing spanning forests of g, grouped by component count.
 
-    Each group is sorted lexicographically on its sorted edge list.  The
-    cache is small: it only spares `enumerate_if`/`a_poly` calls for
-    several k on one graph from enumerating again.
+    Each group is sorted on its sorted edge lists.  The small cache spares
+    `enumerate_if`/`a_poly` calls for several k on one graph a second pass.
     """
     n = g.n
     choices = [
@@ -96,9 +97,8 @@ class FactorizationReport(NamedTuple):
 def isf_factorization_check(g: OrderedGraph) -> FactorizationReport:
     """Compare the enumerated t-polynomial against the product formula.
 
-    The right-hand side is the expansion of
-        prod_{j=1..n} ( t + sum_{i<j, (i,j) in E} x_(i,j) ),
-    which must coincide with the enumeration for every input.
+    The right-hand side, prod_j (t + sum_{i<j, (i,j) in E} x_(i,j))
+    expanded, must coincide with the enumeration for every input.
     """
     lhs = isf_tpoly(g)
     coeffs = [MultiPoly.one()]
@@ -116,39 +116,37 @@ def isf_factorization_check(g: OrderedGraph) -> FactorizationReport:
 def strong_logconcavity_check(g: OrderedGraph, p: int, q: int) -> NonnegReport:
     """Nonnegativity of a_p*a_q - a_{p-1}*a_{q+1} (coefficientwise).
 
-    Decided on e_{n-p}*e_{n-q} - e_{n-p+1}*e_{n-q-1} in the y_j with
-    d_j >= 1, whose size does not depend on |E|.  A negative term is
-    reported as its x-lift: the graded-lex-first negative x-monomial of
-    a_p*a_q - a_{p-1}*a_{q+1}, with its coefficient there.
+    Visits the classes (a, b), a squares and b single y_j with d_j >= 1, of
+    e_r*e_s - e_{r+1}*e_{s-1}: C(b, r-a) - C(b, r+1-a) >= 0 as r - a >= b/2.
+    A negative class would list its monomials and report their x-lift: the
+    graded-lex-first negative x-monomial, with its coefficient there.
     """
     if not 0 < p <= q < g.n:
         raise IndexViolation(f"need 0 < p <= q < n={g.n}, got p={p}, q={q}")
-    return _lift_report(g, _y_difference(g, p, q))
-
-
-def _y_difference(g: OrderedGraph, p: int, q: int) -> MultiPoly:
-    """e_{n-p}*e_{n-q} - e_{n-p+1}*e_{n-q-1} in the index variables y_j.
-
-    Only the j with a smaller neighbor carry a nonzero y_j, so the e_r are
-    taken over those; an r above their number gives zero.
-    """
     js = sorted({j for _, j in g.edges})
+    r, s = g.n - p, g.n - q
+    negative = {}
+    for a in range(min(s, len(js)) + 1):
+        b = r + s - 2 * a
+        if a + b <= len(js) and (c := _class_coefficient(r, a, b)) < 0:
+            for twos in combinations(js, a):
+                for ones in combinations([j for j in js if j not in twos], b):
+                    negative[twos * 2 + ones] = c
+    return _lift_report(g, MultiPoly(negative))
 
-    def e(r: int) -> MultiPoly:
-        return MultiPoly(dict.fromkeys(combinations(js, r), 1))
 
-    n = g.n
-    return e(n - p) * e(n - q) - e(n - p + 1) * e(n - q - 1)
+def _class_coefficient(r: int, a: int, b: int) -> int:
+    """Of y^beta with a twos and b ones: r - a of the ones go to e_r."""
+    return comb(b, r - a) - comb(b, r + 1 - a)
 
 
 def _lift_report(g: OrderedGraph, ypoly: MultiPoly) -> NonnegReport:
     """nonneg_report of ypoly with y_j = sum of x_(i,j) over i < j in g.
 
-    Every x-lift of a y-term carries its sign.  Of the lifts of y^beta the
-    graded-lex-first takes the edge (min smaller neighbor of j, j) for each
-    factor y_j, and its x-coefficient is the y-coefficient (multinomial 1).
-    Distinct y-monomials have distinct lifts, so the first negative term
-    of the lifted polynomial is the first negative x-term.
+    Every x-lift of a y-term carries its sign.  The graded-lex-first lift
+    of y^beta takes (min smaller neighbor of j, j) for each factor y_j, with
+    multinomial 1, and distinct y-monomials have distinct lifts, so the
+    first negative lifted term is the first negative x-term.
     """
     lowest = {}
     for i, j in g.edges:

@@ -91,6 +91,18 @@ def x_logconcavity_difference(g, p, q):
     return a_poly(g, p) * a_poly(g, q) - a_poly(g, p - 1) * a_poly(g, q + 1)
 
 
+def _y_difference(g, p, q):
+    """e_{n-p}*e_{n-q} - e_{n-p+1}*e_{n-q-1} in the index variables y_j, by
+    multiplying out every monomial of each e_r over the j with d_j >= 1."""
+    js = sorted({j for _, j in g.edges})
+
+    def e(r):
+        return MultiPoly(dict.fromkeys(combinations(js, r), 1))
+
+    n = g.n
+    return e(n - p) * e(n - q) - e(n - p + 1) * e(n - q - 1)
+
+
 def y_substituted(g, ypoly):
     """ypoly with every y_j replaced by the sum of x_(i,j) over i < j in g."""
     y = {

@@ -78,6 +78,19 @@ def test_malformed_input_through_the_process_entry_point(tmp_path):
     assert report["payload"] is None and report["diagnostics"]
 
 
+def test_reader_closing_stdout_early_is_a_quiet_exit():
+    # the report is megabytes long, so writing it outlasts the pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isf.cli", "stirling", "row", "--n", "1500"],
+        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"command"'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == b""
+
+
 def test_console_script_goes_through_run():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

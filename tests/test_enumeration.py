@@ -1,5 +1,6 @@
 from collections import Counter
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -18,9 +19,11 @@ from isf import (
     strong_logconcavity_check,
 )
 import isf.graphs
-from isf.enumeration import _forests_by_components, _lift_report, _y_difference
+import isf.enumeration
+from isf.enumeration import _class_coefficient, _forests_by_components, _lift_report
 from isf.injection import verify_psi
 from conftest import (
+    _y_difference,
     all_edge_subsets,
     brute_force_increasing_forests,
     enumerative_counts,
@@ -178,6 +181,67 @@ def test_lift_report_witness_against_every_lift():
     nonneg = y(2) * y(3) + y(4) * y(4)
     assert _lift_report(g, nonneg) == y_substituted(g, nonneg).nonneg_report()
     assert _lift_report(g, nonneg).is_nonneg
+
+
+def _class_mismatches(coefficient, graphs):
+    """Every (g, p, q, y-monomial) on which coefficient(r, a, b) differs from
+    the oracle, over all beta in {0, 1, 2}^J of degree r + s."""
+    out = []
+    for g in graphs:
+        js = sorted({j for _, j in g.edges})
+        for p in range(1, g.n):
+            for q in range(p, g.n):
+                r, s = g.n - p, g.n - q
+                terms = _y_difference(g, p, q).terms
+                for beta in product((0, 1, 2), repeat=len(js)):
+                    if sum(beta) != r + s:
+                        continue
+                    mono = tuple(j for j, k in zip(js, beta) for _ in range(k))
+                    c = coefficient(r, beta.count(2), beta.count(1))
+                    if c != terms.pop(mono, 0):
+                        out.append((g, p, q, mono))
+                assert not terms  # the oracle has no term outside {0, 1, 2}^J
+    return out
+
+
+def test_class_coefficient_matches_oracle_all_graphs_on_5(graphs_on_5):
+    assert _class_mismatches(_class_coefficient, graphs_on_5) == []
+
+
+def test_off_by_one_class_coefficient_fails_the_oracle(graphs_on_5):
+    def shifted(r, a, b):
+        return comb(b, r - a) - comb(b, r + 2 - a)
+
+    assert _class_mismatches(shifted, graphs_on_5)
+
+
+def test_negative_class_reports_its_graded_lex_first_lift(monkeypatch):
+    # smaller neighbours: 2 -> {1}, 3 -> {1, 2}, 4 -> {2, 3}, 5 -> {3, 4};
+    # at p = q = 2 the classes (a, b) are (2, 2) and (3, 0)
+    g = OrderedGraph(5, frozenset(
+        {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)}
+    ))
+
+    def negate_one_class(r, a, b):
+        return -1 if (a, b) == (2, 2) else _class_coefficient(r, a, b)
+
+    monkeypatch.setattr(isf.enumeration, "_class_coefficient", negate_one_class)
+    report = strong_logconcavity_check(g, 2, 2)
+    negated = MultiPoly({
+        m: -1 for m in _y_difference(g, 2, 2).terms
+        if sorted(Counter(m).values()) == [1, 1, 2, 2]
+    })
+    assert len(negated.terms) == comb(4, 2)  # the two ones are the rest of J
+    assert not report.is_nonneg
+    assert report == y_substituted(g, negated).nonneg_report()
+
+
+def test_logconcavity_multiplies_no_polynomials(monkeypatch):
+    def refuse(self, other):
+        raise RuntimeError("MultiPoly product reached")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    assert strong_logconcavity_check(complete_graph(40), 20, 20) == (True, None)
 
 
 def test_logconcavity_examples():

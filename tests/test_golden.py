@@ -23,3 +23,9 @@ def test_golden_stdout(case, capsys, monkeypatch):
     assert main(CASES[case]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{case}.stdout").read_bytes()
+
+
+def test_cases_and_stdout_files_correspond_one_to_one():
+    # a recorded stdout without a case is never checked; a case without
+    # one fails only when replayed
+    assert sorted(p.stem for p in GOLDEN.glob("*.stdout")) == sorted(CASES)

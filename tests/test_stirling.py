@@ -148,6 +148,15 @@ def _all_perms(n):
     return out
 
 
+def _has_factor(word, factor, rest):
+    """True iff word is rest with factor inserted after its first letter."""
+    return any(
+        word[i:i + len(factor)] == factor
+        and word[:i] + word[i + len(factor):] == rest
+        for i in range(1, len(word))
+    )
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_permutation_psi_spectators_exhaustive(n):
     perms = _all_perms(n)
@@ -162,6 +171,15 @@ def test_permutation_psi_spectators_exhaustive(n):
             assert move.tau_p.cycle_count() == tau.cycle_count() - 1
             assert move.broken_cycle in sigma.cycles
             assert all(c in tau.cycles for c in move.glued_pair)
+            # break: one new cycle is a factor of the broken word after its
+            # first letter, the other the rest; glue: the merged word is one
+            # glued word with the other inserted as a factor
+            h1, h2 = [c for c in move.sigma_p.cycles if c not in sigma.cycles]
+            broken = move.broken_cycle
+            assert _has_factor(broken, h1, h2) or _has_factor(broken, h2, h1)
+            (merged,) = [c for c in move.tau_p.cycles if c not in tau.cycles]
+            x, y = move.glued_pair
+            assert _has_factor(merged, y, x) or _has_factor(merged, x, y)
             images.append((move.sigma_p, move.tau_p))
     # injective: no two pairs (sigma, tau) share an image (sigma', tau')
     assert len(images) == len(set(images)) == {3: 11, 4: 191, 5: 4999}[n]
