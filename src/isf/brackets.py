@@ -12,9 +12,15 @@ the unmatched positions, never the bracket string or the matched pairs.
 A second instantiation running the same algorithm over the reversed
 ground order is provided; the edge-moving injection must work with either,
 since it may rely only on injectivity and X being contained in its image.
+
+phi memoises its answer per frozenset pair (Y, X) in one bounded cache,
+after checking and converting other arguments.  That is sound: the answer
+depends on (Y, X) alone, and no error is cached: bad input raises each time.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import InvariantViolation, NotASubset, NotInImage, SizeViolation
 
@@ -77,6 +83,14 @@ def _bracket_predecessor(elements: tuple, sub: frozenset) -> frozenset:
 
 def phi(ground, subset) -> frozenset:
     """The canonical injection X -> X' with X a proper subset of X'."""
+    if type(ground) is not frozenset or type(subset) is not frozenset:
+        elements, ground = _as_ground(ground)
+        subset = _check_subset(elements, ground, subset)
+    return _phi(ground, subset)
+
+
+@lru_cache(maxsize=1024)
+def _phi(ground: frozenset, subset: frozenset) -> frozenset:
     elements, members = _as_ground(ground)
     return _bracket_successor(elements, _check_subset(elements, members, subset))
 

@@ -171,23 +171,21 @@ class Forest(Record):
     def from_parent(cls, parent) -> "Forest":
         """The increasing forest whose minima-rooted parent vector is parent.
 
-        parent[0] must be 0 and every other entry 0 <= parent[v] < v.  One
-        scan checks this and collects the edges and the minima.
+        Entries are ints, not bools: parent[0] == 0, 0 <= parent[v] < v.
+        One scan checks this and collects the edges and the minima.
         """
         parent = tuple(parent)
-        if parent[:1] != (0,):
+        if parent[:1] != (0,) or type(parent[0]) is not int:
             raise InputError(f"parent vector must start with 0, got {parent!r}")
         edges, minima = [], []
         for v in range(1, len(parent)):
             p = parent[v]
-            if not p:
-                minima.append(v)
-            elif 0 < p < v:
+            if type(p) is not int or not 0 <= p < v:
+                raise InputError(f"parent[{v}] = {p!r} is not an int in 0..{v - 1}")
+            if p:
                 edges.append((p, v))
             else:
-                raise InputError(
-                    f"parent vector entry {v} -> {p} is not 0 or below {v}"
-                )
+                minima.append(v)
         edges.sort()
         f = object.__new__(cls)
         object.__setattr__(f, "n", len(parent) - 1)

@@ -11,18 +11,22 @@ so tests and the CLI can expose each step.
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
 B[j] = A[j].  psi checks its bookkeeping on these two vectors and builds
-no Forest (it fills its frozen trace's __dict__ in one update, as
-Forest.from_parent does, and skips the record's __init__); all else psi
-needs of an input forest is cached on it.  verify_psi checks locality on
-the vectors, and weight only where locality fails: a local move turns
-(A[j], B[j]) = (i, 0) into (0, i) and keeps every other coordinate.
+no Forest; all else it needs of an input forest is cached on it.  Its
+root checks read a vector and build no root set: the zeros past index 0
+are exactly the expected minima (vertices in 1..n) iff index 0 is 0,
+every expected position is 0 and there are |expected| + 1 zeros.  j
+depends only on (m(A), m(B)), so phi's memo (see brackets) answers most
+pairs; psi memoises nothing and calls its successor once per pair.
+verify_psi checks locality on the vectors, and weight only where locality
+fails: a local move turns (A[j], B[j]) = (i, 0) into (0, i) and keeps
+every other coordinate.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, count, product
-from operator import add, mul, not_
+from itertools import product
+from operator import add, mul
 from typing import NamedTuple
 
 from .brackets import phi
@@ -75,21 +79,27 @@ class PsiTrace(Record):
         }
 
 
-def _check(holds: bool, claim: str) -> None:
-    if not holds:
-        raise InvariantViolation(f"psi bookkeeping failed: {claim}")
+def _fail(claim: str):
+    raise InvariantViolation(f"psi bookkeeping failed: {claim}")
 
 
-def _roots(parent: tuple) -> set:  # the zero entries past index 0
-    return set(compress(count(1), map(not_, parent[1:])))
+def _check_roots(parent: tuple, expected: frozenset, claim: str) -> None:
+    # the zero entries past index 0 must be exactly the expected positions
+    if parent[0] or parent.count(0) != len(expected) + 1:
+        _fail(claim)
+    for v in expected:
+        if parent[v]:
+            _fail(claim)
 
 
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
-    for f, name in ((a, "forest A"), (b, "forest B")):
-        _check_forest_in_graph(g, f, name)
-        if not f.increasing:
-            raise NotIncreasing(f"{name} is not increasing")
+    _check_forest_in_graph(g, a, "forest A")
+    if not a.increasing:
+        raise NotIncreasing("forest A is not increasing")
+    _check_forest_in_graph(g, b, "forest B")
+    if not b.increasing:
+        raise NotIncreasing("forest B is not increasing")
     m_a, m_b = a.minima, b.minima
     if len(m_a) >= len(m_b):
         raise SizeViolation(
@@ -98,17 +108,20 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     sym_diff = m_a ^ m_b
     j = _select(m_a - m_b, sym_diff, successor)
     # bookkeeping the injectivity proof relies on; cheap, so always checked
-    _check(j in m_b and j not in m_a, "j in m(B) - m(A)")
+    if j not in m_b or j in m_a:
+        _fail("j in m(B) - m(A)")
     pa, pb = a.parent, b.parent
     a_comp, b_comp = a.components[j], b.components[j]
     e = (pa[j], j)
     # the swap B[j] = A[j], A[j] = 0; both outputs stay increasing vectors
     a_out = pa[:j] + (0,) + pa[j + 1:]
     b_out = pb[:j] + (pa[j],) + pb[j + 1:]
-    _check(j == min(b_comp), "j = min of its component in B")
-    _check(e in a.edges and e not in b.edges, "e in A and e not in B")
-    _check(_roots(a_out) == m_a | {j}, "m(A') = m(A) + j")
-    _check(_roots(b_out) == m_b - {j}, "m(B') = m(B) - j")
+    if j != min(b_comp):
+        _fail("j = min of its component in B")
+    if e not in a.edges or e in b.edges:
+        _fail("e in A and e not in B")
+    _check_roots(a_out, m_a | {j}, "m(A') = m(A) + j")
+    _check_roots(b_out, m_b - {j}, "m(B') = m(B) - j")
     tr = object.__new__(PsiTrace)  # frozen: fill __dict__, skip __init__
     tr.__dict__.update(
         mA=m_a, mB=m_b, sym_diff=sym_diff, j=j, A_comp=a_comp, B_comp=b_comp,

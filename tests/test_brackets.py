@@ -13,7 +13,7 @@ from isf import (
     phi_reversed,
     subset_pair_map,
 )
-from isf.brackets import _unmatched
+from isf.brackets import _phi, _unmatched
 
 
 def test_phi_hand_traces():
@@ -52,6 +52,58 @@ def test_frozenset_and_list_callers_agree(fn):
         fn([1, 1, 2], [1])
     with pytest.raises(NotASubset, match="repeated"):
         fn([1, 2, 3, 4, 5], [1, 1])
+
+
+def _valid_pairs_on_8():
+    # every (Y, X): Y a subset of {1..8}, X a subset of Y with |X| < |Y|/2
+    for m in range(9):
+        for ground in combinations(range(1, 9), m):
+            for k in range((m + 1) // 2):
+                yield from ((ground, sub) for sub in combinations(ground, k))
+
+
+def test_phi_memo_agrees_with_uncached_core():
+    uncached = _phi.__wrapped__
+    for list_first in (True, False):
+        _phi.cache_clear()
+        for ground, sub in _valid_pairs_on_8():
+            want = uncached(frozenset(ground), frozenset(sub))
+            calls = [(list(ground), list(sub)), (frozenset(ground), frozenset(sub))]
+            for args in calls if list_first else calls[::-1]:
+                assert phi(*args) == want, (ground, sub)
+    assert _phi.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("ground, subset, error", [
+    ({1, 2, 3}, {1, 2}, SizeViolation),
+    ({1, 2, 3}, {4}, NotASubset),
+    (set(), set(), SizeViolation),
+])
+def test_phi_memo_caches_no_error(ground, subset, error):
+    ground, subset = frozenset(ground), frozenset(subset)
+    _phi.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            phi(ground, subset)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert _phi.cache_info().misses == 2 and _phi.cache_info().currsize == 0
+
+
+def test_phi_memo_stays_within_its_bound():
+    bound = _phi.cache_info().maxsize
+    assert bound is not None
+    ground = frozenset(range(1, 13))
+    _phi.cache_clear()
+    for sub in (frozenset(x) for m in range(13) for x in combinations(ground, m)):
+        try:
+            phi(ground, sub)
+        except SizeViolation:
+            assert 2 * len(sub) >= len(ground)
+    # 1,586 subsets are valid; past the bound, the oldest answers go
+    info = _phi.cache_info()
+    assert info.misses == 4096 and info.currsize == min(bound, 1586)
 
 
 def test_phi_inverse_round_trips():

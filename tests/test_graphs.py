@@ -216,6 +216,16 @@ def test_from_parent_rejects_malformed_vectors():
     f = Forest.from_parent([0, 0, 1])
     assert type(f.parent) is tuple and f.parent == (0, 0, 1)
     assert f == Forest(2, frozenset({(1, 2)}))
+    # every entry must be an int, as every edge endpoint of Forest(...) is:
+    # True == 1 would build the edge (True, 2), 1.5 the edge (1.5, 3)
+    with pytest.raises(InputError, match="malformed edge"):
+        Forest(2, [(True, 2)])
+    for bad in [[False, 0, 1], (0.0, 0, 1)]:
+        with pytest.raises(InputError, match="must start with 0"):
+            Forest.from_parent(bad)
+    for bad in [[0, 0, True], (0, 0, 1, 1.5), [0, 0, 1, "a"], (0, False)]:
+        with pytest.raises(InputError, match="is not an int"):
+            Forest.from_parent(bad)
 
 
 def test_cached_rooted_data_matches_bfs_reference_on_k5():

@@ -25,8 +25,10 @@ from isf import (
     select_j,
     verify_psi,
 )
+from isf.brackets import _phi
 from conftest import (
-    edge_set_psi, edge_set_verdicts, random_graph, reference_parent,
+    all_edge_subsets, edge_set_psi, edge_set_verdicts, random_graph,
+    reference_parent,
 )
 
 K2 = complete_graph(2)
@@ -169,6 +171,21 @@ def test_verify_psi_calls_psi_and_successor_once_per_pair(monkeypatch):
             assert verify_psi(k5, k, l).injective
 
 
+def test_phi_memo_misses_at_most_once_per_minima_pair():
+    # psi's j depends on (m(A), m(B)) only through (D, X) = (m(A) ^ m(B),
+    # m(A) - m(B)), so phi's memo computes each such pair at most once
+    k6 = complete_graph(6)
+    forests_2, forests_4 = enumerate_if(k6, 2), enumerate_if(k6, 4)
+    distinct = {(a.minima ^ b.minima, a.minima - b.minima)
+                for a in forests_2 for b in forests_4}
+    _phi.cache_clear()
+    rep = verify_psi(k6, 2, 4)
+    info = _phi.cache_info()
+    assert rep.injective and rep.total_pairs == 23290
+    assert info.hits + info.misses == rep.total_pairs
+    assert info.misses <= len(distinct) == 30
+
+
 def test_psi_last_edge_matches_path_oracle():
     # trace.e must be the last edge on the path from i0 to j inside A
     for k in range(1, 4):
@@ -261,7 +278,7 @@ def _random_graphs():
 
 @pytest.mark.parametrize("successor", [phi, phi_reversed])
 def test_psi_matches_edge_set_oracle(successor):
-    for g in [K4, *_random_graphs()]:
+    for g in [*all_edge_subsets(4), *_random_graphs()]:
         for k in range(g.n):
             for l in range(k + 1, g.n + 1):
                 for a in enumerate_if(g, k):
@@ -415,6 +432,10 @@ def test_invariant_violation_on_bad_successor():
     assert not issubclass(InvariantViolation, InputError)
 
 
+A_ROOTED = {"increasing": True, "minima": frozenset({1}),
+            "components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}
+
+
 @pytest.mark.parametrize("claim, b_edges, a_cache, b_cache", [
     ("j = min of its component in B", (), {},
      {"components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}),
@@ -423,6 +444,11 @@ def test_invariant_violation_on_bad_successor():
     ("m(A') = m(A) + j", (), {"minima": frozenset({1, 2})}, {}),
     ("m(B') = m(B) - j", (), {},
      {"parent": (0, 0, 1, 0), "minima": frozenset({1, 2, 3})}),
+    # A's true rooted data, with a wrong vector: an extra zero at 2, so too
+    # many zeros; vertex 1, a root of A', nonzero; index 0 nonzero
+    ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (0, 0, 0, 1)}, {}),
+    ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (0, 2, 0, 1)}, {}),
+    ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (5, 0, 0, 1)}, {}),
 ])
 def test_each_bookkeeping_check_fires(claim, b_edges, a_cache, b_cache):
     # With consistent forests these claims are theorems, so each is reached
