@@ -160,7 +160,7 @@ def spanning_forests(g: OrderedGraph) -> list:
     for e in g.sorted_edges:
         grown += [(chosen + (e,), joined) for chosen, label in grown
                   if (joined := _joined(label, *e)) is not None]
-    return sorted((Forest(g.n, frozenset(c)) for c, _ in grown), key=Forest.sort_key)
+    return sorted((Forest(g.n, c) for c, _ in grown), key=Forest.sort_key)
 
 
 @lru_cache(maxsize=64)

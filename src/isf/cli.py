@@ -77,8 +77,7 @@ def _int_set(text: str) -> list:
 
 
 def _cmd_enumerate(args):
-    forests = enumerate_if(_graph(args.graph), args.components)
-    return OK, {"forests": [f.to_json() for f in forests]}
+    return OK, {"forests": enumerate_if(_graph(args.graph), args.components)}
 
 
 def _cmd_poly(args):
@@ -280,13 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_json(obj):
+    """`json.dumps` hook: a Forest's dict lives only while it is written."""
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    return json.JSONEncoder().default(obj)  # raises the encoder's TypeError
+
+
 def _emit(command: str, ok: bool, payload, diagnostics) -> None:
     report = {"command": command, "ok": ok, "payload": payload,
               "diagnostics": diagnostics}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact results may exceed it; input keeps it
     try:
-        text = json.dumps(report, sort_keys=True)
+        text = json.dumps(report, sort_keys=True, default=_to_json)
     finally:
         sys.set_int_max_str_digits(limit)
     try:

@@ -47,7 +47,7 @@ def _forests_by_components(g: OrderedGraph) -> dict:
     ]
     groups: dict = {k: [] for k in range(n + 1)}
     for picks in product(*choices):
-        edges = frozenset(filter(None, picks))
+        edges = tuple(filter(None, picks))
         groups[n - len(edges)].append(Forest(n, edges))
     return {
         k: tuple(sorted(fs, key=Forest.sort_key)) for k, fs in groups.items()

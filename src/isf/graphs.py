@@ -18,8 +18,11 @@ vectors build forests directly, in one scan that also yields the minima.
 
 The value classes are frozen `Record`s: equality within one class, hash
 and repr (`Forest(n=3, edges=frozenset())`) read only the fields named in
-`_fields`, not values cached beside them.  A validating record binds its
-fields with object.__setattr__ in field order: shared-key dicts stay small.
+`_fields`, not values cached beside them.  A Forest stores n and its
+sorted edge tuple only; its frozenset `edges` is built from the tuple on
+first read, so forests that are only enumerated and printed never build
+one.  A validating record binds what it stores with object.__setattr__ in
+one fixed order: shared-key dicts stay small.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ def _check_vertex_count(n) -> None:
         raise InputError(f"vertex count must be >= 0, got {n}")
 
 
-def _validated_edges(n: int, edges) -> frozenset:
+def _checked_edges(n: int, edges) -> tuple:
+    """edges as a sorted tuple without repeats, each checked to be a pair
+    of ints with 1 <= i < j <= n."""
     out = set()
     for e in edges:
         try:
@@ -64,7 +69,7 @@ def _validated_edges(n: int, edges) -> frozenset:
             )
         # keep a caller's tuple: enumerated forests then share edge objects
         out.add(e if type(e) is tuple else (i, j))
-    return frozenset(out)
+    return tuple(sorted(out))
 
 
 def _from_json(cls, obj, what: str):
@@ -124,10 +129,10 @@ class OrderedGraph(Record):
 
     _fields = ("n", "edges")
 
-    def __init__(self, n: int, edges=frozenset()):
+    def __init__(self, n: int, edges=()):
         _check_vertex_count(n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", _validated_edges(n, edges))
+        object.__setattr__(self, "edges", frozenset(_checked_edges(n, edges)))
 
     def smaller_neighbors(self, j: int) -> list:
         """Neighbors i of j with i < j, sorted increasing."""
@@ -148,19 +153,18 @@ class OrderedGraph(Record):
 class Forest(Record):
     """Acyclic edge set over the ambient vertex set 1..n (spanning).
 
-    Every Forest also carries `_sorted_edges`, its edges as a sorted tuple,
-    which `sort_key`, `sorted_edges` and `to_json` read.
+    Stores n and `_sorted_edges`, its edges as a sorted tuple, which
+    `sort_key`, `sorted_edges` and `to_json` read; `edges` is cached.
     """
 
     _fields = ("n", "edges")
 
-    def __init__(self, n: int, edges=frozenset()):
+    def __init__(self, n: int, edges=()):
         _check_vertex_count(n)
-        edges = _validated_edges(n, edges)
+        ordered = _checked_edges(n, edges)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_sorted_edges", ordered := tuple(sorted(edges)))
-        if len({j for _, j in edges}) == len(edges):
+        object.__setattr__(self, "_sorted_edges", ordered)
+        if len({j for _, j in ordered}) == len(ordered):
             return
         label = tuple(range(n + 1))
         for i, j in ordered:
@@ -174,7 +178,10 @@ class Forest(Record):
         Entries are ints, not bools: parent[0] == 0, 0 <= parent[v] < v.
         One scan checks this and collects the edges and the minima.
         """
-        parent = tuple(parent)
+        try:
+            parent = tuple(parent)
+        except TypeError:  # not iterable at all
+            raise InputError(f"parent vector {parent!r} is not iterable") from None
         if parent[:1] != (0,) or type(parent[0]) is not int:
             raise InputError(f"parent vector must start with 0, got {parent!r}")
         edges, minima = [], []
@@ -189,12 +196,13 @@ class Forest(Record):
         edges.sort()
         f = object.__new__(cls)
         object.__setattr__(f, "n", len(parent) - 1)
-        object.__setattr__(f, "edges", frozenset(edges))
-        f.__dict__.update(
-            _sorted_edges=tuple(edges), parent=parent,
-            minima=frozenset(minima), increasing=True,
-        )
+        object.__setattr__(f, "_sorted_edges", tuple(edges))
+        f.__dict__.update(parent=parent, minima=frozenset(minima), increasing=True)
         return f
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset(self._sorted_edges)
 
     @cached_property
     def parent(self) -> tuple:
@@ -203,7 +211,7 @@ class Forest(Record):
         Index 0 is unused.  Defined for every forest, increasing or not.
         """
         adj = [[] for _ in range(self.n + 1)]
-        for i, j in self.edges:
+        for i, j in self._sorted_edges:
             adj[i].append(j)
             adj[j].append(i)
         parent = [0] * (self.n + 1)
@@ -252,7 +260,7 @@ class Forest(Record):
         return self._sorted_edges
 
     def component_count(self) -> int:
-        return self.n - len(self.edges)
+        return self.n - len(self._sorted_edges)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self._sorted_edges]}

@@ -6,8 +6,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isf import stirling_row
-from isf.cli import main
+from isf import Forest, stirling_row
+from isf.cli import _emit, main
 
 
 @pytest.fixture
@@ -286,6 +286,21 @@ def test_exact_results_print_past_the_digit_limit(capsys):
     assert status == 0 and rep["ok"] and len(str(row.unsigned[1])) > 640
     assert rep["payload"]["unsigned"] == list(row.unsigned)
     assert rep["payload"]["signed"] == list(row.signed)
+
+
+def test_emit_encodes_only_objects_with_to_json(capsys):
+    # enumerate hands _emit its Forests; any other foreign value still fails
+    # as json.dumps fails without the hook, and the digit limit comes back
+    _emit("enumerate", True, {"forests": [Forest(2, [(1, 2)])]}, [])
+    assert json.loads(capsys.readouterr().out)["payload"] == {
+        "forests": [{"n": 2, "edges": [[1, 2]]}]
+    }
+    previous = sys.get_int_max_str_digits()
+    message = "^Object of type object is not JSON serializable$"
+    with pytest.raises(TypeError, match=message):
+        _emit("enumerate", True, {"forests": [object()]}, [])
+    assert sys.get_int_max_str_digits() == previous
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -250,3 +250,47 @@ def test_parent_is_lazy_and_outside_equality():
     assert f.parent == (0, 0, 0, 1)
     assert "parent" in vars(f) and "parent" not in vars(g)
     assert f == g and hash(f) == hash(g)
+
+
+def test_from_parent_rejects_non_iterables():
+    for bad in [5, None]:
+        with pytest.raises(InputError, match=f"^parent vector {bad} is not iterable$"):
+            Forest.from_parent(bad)
+
+
+def test_edges_frozenset_is_built_on_first_read():
+    _forests_by_components.cache_clear()  # other tests may have read edges
+    forests = [
+        *enumerate_if(complete_graph(4), 2),
+        Forest.from_parent((0, 0, 1, 1, 3)),
+        Forest(4, ((1, 3), (1, 2), (3, 4))),
+    ]
+    for f in forests:
+        assert "edges" not in vars(f) and list(vars(f))[:2] == ["n", "_sorted_edges"]
+        assert f.edges == frozenset(f.sort_key()) and "edges" in vars(f)
+
+
+def test_every_input_form_gives_one_forest():
+    edges = [(3, 4), (1, 2), (2, 5), (1, 3)]
+    forests = [
+        Forest(5, frozenset(edges)),
+        Forest(5, edges + [[1, 2]]),
+        Forest(5, (e for e in edges)),
+        Forest.from_parent([0, 0, 1, 1, 3, 2]),
+    ]
+    for f in forests:
+        assert f.sort_key() == ((1, 2), (1, 3), (2, 5), (3, 4))
+        assert f == forests[0] and hash(f) == hash(forests[0])
+        assert repr(f) == repr(forests[0])
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ([(1, 2), (1, 2, 3)], InputError, "malformed edge (1, 2, 3)"),
+    ([(1, 2), (2, 5)], InputError, "edge (2,5) violates 1 <= i < j <= n with n=4"),
+    ([(True, 2)], InputError, "malformed edge (True, 2)"),
+    ([(1, 2), (1, 3.0)], InputError, "malformed edge (1, 3.0)"),
+    ([(1, 2), (2, 3), (1, 3), (3, 4)], CyclicInput, "edge (2,3) closes a circuit"),
+], ids=["malformed", "out-of-range", "bool", "float", "circuit"])
+def test_forest_errors_keep_type_and_message(edges, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Forest(4, edges)
