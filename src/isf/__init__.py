@@ -14,9 +14,7 @@ from .chromatic import (
     broken_circuits,
     chromatic_polynomial,
     circuits,
-    has_perfect_elimination_order,
     is_admissible_goodvertex,
-    is_nbc,
     movable_edge_search,
     peo_isf_check,
     spanning_forests,
@@ -31,7 +29,6 @@ from .enumeration import (
     strong_logconcavity_check,
 )
 from .errors import (
-    BadDegree,
     CyclicInput,
     IndexViolation,
     InputError,
@@ -48,8 +45,8 @@ from .graphs import (
     OrderedGraph,
     complete_graph,
 )
-from .injection import PsiTrace, psi, select_j, verify_psi
-from .polynomials import MultiPoly, TPoly, elementary_symmetric
+from .injection import PsiTrace, psi, verify_psi
+from .polynomials import MultiPoly, TPoly
 from .stirling import (
     Permutation,
     StirlingRow,

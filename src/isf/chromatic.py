@@ -116,12 +116,6 @@ def broken_circuits(g: OrderedGraph, convention) -> list:
     return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
-def is_nbc(g: OrderedGraph, f: Forest, convention) -> bool:
-    """True iff f contains no broken circuit of g under the convention."""
-    _check_forest_in_graph(g, f, "forest")
-    return not any(bc <= f.edges for bc in broken_circuits(g, convention))
-
-
 def is_admissible_goodvertex(g: OrderedGraph, f: Forest) -> bool:
     """All vertices good: each child w is the smallest element of its
     branch B(w) adjacent to its parent in g."""
@@ -329,13 +323,3 @@ def peo_isf_check(g: OrderedGraph) -> PeoReport:
     rhs = chromatic_polynomial(g).reflected(g.n)
     return PeoReport(lhs == rhs, lhs, rhs)
 
-
-def has_perfect_elimination_order(g: OrderedGraph) -> bool:
-    """True iff for every vertex its smaller neighbors form a clique."""
-    for j in range(1, g.n + 1):
-        smaller = g.smaller_neighbors(j)
-        for x in range(len(smaller)):
-            for y in range(x + 1, len(smaller)):
-                if (smaller[x], smaller[y]) not in g.edges:
-                    return False
-    return True

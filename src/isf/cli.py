@@ -36,6 +36,7 @@ from .enumeration import (
 from .errors import InputError, InvariantViolation
 from .graphs import Forest, OrderedGraph
 from .injection import psi, verify_psi
+from .polynomials import MultiPoly
 from .stirling import (
     Permutation,
     forest_to_permutation,
@@ -163,12 +164,8 @@ def _cmd_check(args):
         rep = strong_logconcavity_check(g, args.p, args.q)
         status = OK if rep.is_nonneg else PROPERTY_FAILURE
         witness = None
-        if rep.witness is not None:
-            mono, coef = rep.witness
-            witness = {
-                "vars": [v if isinstance(v, int) else list(v) for v in mono],
-                "coef": str(coef),
-            }
+        if rep.witness is not None:  # the negative term, as to_json writes it
+            (witness,) = MultiPoly(dict([rep.witness])).to_json()["terms"]
         return status, {"is_nonneg": rep.is_nonneg, "witness": witness}
     if args.check_cmd == "whitney":
         rep = whitney_check(g, args.convention)

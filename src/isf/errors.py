@@ -35,10 +35,6 @@ class NotInImage(InputError):
     """Attempt to invert the subset injection outside its image."""
 
 
-class BadDegree(InputError):
-    """Elementary symmetric function requested with k > n or k < 0."""
-
-
 class IndexViolation(InputError):
     """Log-concavity indices outside 0 < p <= q < n."""
 

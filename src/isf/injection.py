@@ -35,16 +35,6 @@ from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph
 from .enumeration import enumerate_if
 
 
-def select_j(m_a, m_b, successor=phi) -> int:
-    """The vertex singled out by phi inside m(A) symmetric-difference m(B)."""
-    m_a, m_b = frozenset(m_a), frozenset(m_b)
-    if len(m_a) >= len(m_b):
-        raise SizeViolation(
-            f"need |m(A)| < |m(B)|, got {len(m_a)} >= {len(m_b)}"
-        )
-    return _select(m_a - m_b, m_a ^ m_b, successor)
-
-
 def _select(only_a: frozenset, sym_diff: frozenset, successor) -> int:
     added = successor(sym_diff, only_a) - only_a
     if len(added) != 1:

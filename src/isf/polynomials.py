@@ -8,10 +8,7 @@ serialized in graded lexicographic order for deterministic output.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple, Optional
-
-from .errors import BadDegree
 
 
 def _var_key(v) -> tuple:
@@ -56,10 +53,6 @@ class MultiPoly:
     def one(cls) -> "MultiPoly":
         return cls.const(1)
 
-    @classmethod
-    def variable(cls, v) -> "MultiPoly":
-        return cls({(v,): 1})
-
     @property
     def terms(self) -> dict:
         return dict(self._terms)
@@ -84,14 +77,6 @@ class MultiPoly:
         res = MultiPoly.zero()
         res._terms = out
         return res
-
-    def __neg__(self) -> "MultiPoly":
-        res = MultiPoly.zero()
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict = {}
@@ -129,14 +114,6 @@ class MultiPoly:
             ]
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MultiPoly":
-        terms: dict = {}
-        for t in obj["terms"]:
-            m = _monomial(v if isinstance(v, int) else tuple(v) for v in t["vars"])
-            terms[m] = terms.get(m, 0) + int(t["coef"])
-        return cls(terms)
-
     def __repr__(self):
         if self.is_zero():
             return "MultiPoly(0)"
@@ -145,13 +122,6 @@ class MultiPoly:
             mono = "*".join(f"x{v}" for v in m) if m else "1"
             parts.append(f"{c}*{mono}")
         return f"MultiPoly({' + '.join(parts)})"
-
-
-def elementary_symmetric(n: int, k: int) -> MultiPoly:
-    """e_k in the index variables 1..n: sum over k-subsets of their product."""
-    if not 0 <= k <= n:
-        raise BadDegree(f"need 0 <= k <= n, got k={k}, n={n}")
-    return MultiPoly({tuple(sub): 1 for sub in combinations(range(1, n + 1), k)})
 
 
 class TPoly:

@@ -45,33 +45,6 @@ class Permutation(Record):
         if list(cycles) != sorted(cycles, key=lambda c: c[0]):
             raise NonCanonicalCycle("cycles are not sorted by their minima")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple((v,) for v in range(1, n + 1)))
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "Permutation":
-        """Canonicalize a vertex->image mapping of 1..n into cycle form."""
-        n = len(mapping)
-        if not set(mapping) == set(mapping.values()) == set(range(1, n + 1)):
-            raise InputError(f"mapping {mapping!r} is not a bijection of 1..{n}")
-        seen = set()
-        cycles = []
-        for start in range(1, n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            v = mapping[start]
-            while v != start:
-                cyc.append(v)
-                seen.add(v)
-                v = mapping[v]
-            m = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[m:] + cyc[:m]))
-        cycles.sort(key=lambda c: c[0])
-        return cls(n, tuple(cycles))
-
     def cycle_count(self) -> int:
         return len(self.cycles)
 

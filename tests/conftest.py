@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 import pytest
 
 from isf import (
-    Forest, IntPoly, MultiPoly, OrderedGraph, a_poly, broken_circuits,
-    enumerate_if, spanning_forests,
+    Forest, IntPoly, MultiPoly, OrderedGraph, Permutation, a_poly,
+    broken_circuits, enumerate_if, spanning_forests,
 )
 from isf.chromatic import (
     BrokenCircuitConvention, MovableSearchReport, WhitneyReport,
@@ -86,21 +86,31 @@ def enumerative_counts(g):
     return tuple(len(enumerate_if(g, k)) for k in range(g.n + 1))
 
 
+def variable(v):
+    """The polynomial x_v, for an index v or an edge (i, j)."""
+    return MultiPoly({(v,): 1})
+
+
+def elementary_symmetric(variables, r):
+    """e_r in the given index variables: every r-subset's product, 0 if
+    there is none."""
+    return MultiPoly(dict.fromkeys(combinations(variables, r), 1))
+
+
 def x_logconcavity_difference(g, p, q):
     """a_p*a_q - a_{p-1}*a_{q+1} in the edge variables, from enumeration."""
-    return a_poly(g, p) * a_poly(g, q) - a_poly(g, p - 1) * a_poly(g, q + 1)
+    return (a_poly(g, p) * a_poly(g, q)
+            + MultiPoly.const(-1) * a_poly(g, p - 1) * a_poly(g, q + 1))
 
 
 def _y_difference(g, p, q):
     """e_{n-p}*e_{n-q} - e_{n-p+1}*e_{n-q-1} in the index variables y_j, by
     multiplying out every monomial of each e_r over the j with d_j >= 1."""
     js = sorted({j for _, j in g.edges})
-
-    def e(r):
-        return MultiPoly(dict.fromkeys(combinations(js, r), 1))
-
+    e = lambda r: elementary_symmetric(js, r)
     n = g.n
-    return e(n - p) * e(n - q) - e(n - p + 1) * e(n - q - 1)
+    return (e(n - p) * e(n - q)
+            + MultiPoly.const(-1) * e(n - p + 1) * e(n - q - 1))
 
 
 def y_substituted(g, ypoly):
@@ -234,6 +244,20 @@ def reference_chromatic_polynomial(g, pivot="first"):
     )
 
 
+def is_nbc(g, f, convention):
+    """True iff f contains no broken circuit of g under the convention."""
+    return not any(bc <= f.edges for bc in broken_circuits(g, convention))
+
+
+def has_perfect_elimination_order(g):
+    """True iff for every vertex its smaller neighbors form a clique."""
+    return all(
+        (x, y) in g.edges
+        for j in range(1, g.n + 1)
+        for x, y in combinations(g.smaller_neighbors(j), 2)
+    )
+
+
 def enumerative_whitney(g, convention):
     """Whitney report by testing every spanning forest against every
     broken circuit."""
@@ -306,6 +330,26 @@ def petersen_graph():
     return OrderedGraph(10, frozenset(
         (min(e), max(e)) for e in outer + spokes + inner
     ))
+
+
+def identity_permutation(n):
+    """The permutation of [n] with n fixed points."""
+    return Permutation(n, tuple((v,) for v in range(1, n + 1)))
+
+
+def permutation_from_word(word):
+    """The permutation i -> word[i - 1] of [n], n = len(word), in canonical
+    cycle form: each cycle read from its minimum, cycles by minima."""
+    cycles, seen = [], set()
+    for start in range(1, len(word) + 1):  # each new start is its cycle's min
+        cycle, v = [], start
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = word[v - 1]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return Permutation(len(word), tuple(cycles))
 
 
 def brute_force_cycle_counts(n):

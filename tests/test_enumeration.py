@@ -27,6 +27,7 @@ from conftest import (
     all_edge_subsets,
     brute_force_increasing_forests,
     enumerative_counts,
+    variable,
     x_logconcavity_difference,
     y_substituted,
 )
@@ -93,9 +94,7 @@ def test_factorization_examples():
     rep = isf_factorization_check(K3)
     assert rep.equal
     # rhs = t * (t + x12) * (t + x13 + x23), hand-expanded
-    x12 = MultiPoly.variable((1, 2))
-    x13 = MultiPoly.variable((1, 3))
-    x23 = MultiPoly.variable((2, 3))
+    x12, x13, x23 = variable((1, 2)), variable((1, 3)), variable((2, 3))
     assert rep.rhs.coeffs[3] == MultiPoly.one()
     assert rep.rhs.coeffs[2] == x12 + x13 + x23
     assert rep.rhs.coeffs[1] == x12 * x13 + x12 * x23
@@ -166,13 +165,13 @@ def test_logconcavity_matches_x_expansion_k6():
 def test_lift_report_witness_against_every_lift():
     # smaller neighbours: 2 -> {1}, 3 -> {1, 2}, 4 -> {2, 3}
     g = OrderedGraph(4, frozenset({(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}))
-    y = MultiPoly.variable
+    y, c = variable, MultiPoly.const
     ypoly = (
-        MultiPoly.const(5) * y(2) * y(3)
-        - MultiPoly.const(2) * y(4) * y(4)
-        - MultiPoly.const(3) * y(3) * y(4)
+        c(5) * y(2) * y(3)
+        + c(-2) * y(4) * y(4)
+        + c(-3) * y(3) * y(4)
         + y(3) * y(3)
-        - y(2) * y(4)
+        + c(-1) * y(2) * y(4)
     )
     report = _lift_report(g, ypoly)
     assert report == y_substituted(g, ypoly).nonneg_report()

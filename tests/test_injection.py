@@ -22,7 +22,6 @@ from isf import (
     phi,
     phi_reversed,
     psi,
-    select_j,
     verify_psi,
 )
 from isf.brackets import _phi
@@ -41,12 +40,20 @@ def replace(tr, **changes):
     return type(tr)(**{name: getattr(tr, name) for name in tr._fields} | changes)
 
 
-def test_select_j_examples():
-    assert select_j({1}, {1, 2, 3}) == 3
-    assert select_j({1, 4}, {1, 2, 3}) == 3
-    assert select_j(set(), {1}) == 1
-    with pytest.raises(SizeViolation):
-        select_j({1, 2}, {1, 2})
+def test_psi_selects_j_examples():
+    # m(A) = {1}, m(B) = {1, 2, 3}
+    a = Forest(3, frozenset({(1, 2), (2, 3)}))
+    assert psi(K3, a, Forest(3)).j == 3
+    # m(A) = {1, 4}, m(B) = {1, 2, 3}
+    a = Forest(4, frozenset({(1, 2), (1, 3)}))
+    assert psi(K4, a, Forest(4, frozenset({(1, 4)}))).j == 3
+    # m(A) - m(B) empty and m(A) ^ m(B) one vertex, which is j; every
+    # forest on n >= 1 vertices has the root 1, so m(A) = {} cannot occur
+    assert psi(K2, Forest(2, frozenset({(1, 2)})), Forest(2)).j == 2
+    # |m(A)| = |m(B)| = 2
+    a, b = Forest(3, frozenset({(1, 3)})), Forest(3, frozenset({(2, 3)}))
+    with pytest.raises(SizeViolation, match="got 2 >= 2"):
+        psi(K3, a, b)
 
 
 def test_psi_k3_hand_traces():

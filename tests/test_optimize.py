@@ -3,7 +3,8 @@
 `-O` strips `assert` statements, so no check in `src/isf` may be one: the
 first test parses every module and fails on any `assert`.  The second
 replays the whole golden corpus in one `python -O` process and compares
-each output byte for byte with the recorded stdout.
+each output byte for byte with the recorded stdout.  The public surface
+of `isf` is pinned too, with the names it no longer has.
 """
 
 import ast
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import isf
 
@@ -52,6 +55,52 @@ def test_no_function_in_the_package_calls_itself():
             if isinstance(call, ast.Call) and _calls_itself(func, call)
         ]
     assert found == []
+
+
+PUBLIC = [
+    "BrokenCircuitConvention", "CyclicInput", "Forest", "IndexViolation",
+    "InputError", "IntPoly", "InvariantViolation", "MultiPoly",
+    "NonCanonicalCycle", "NotASubset", "NotInGraph", "NotInImage",
+    "NotIncreasing", "OrderedGraph", "Permutation", "PsiTrace",
+    "SizeViolation", "StirlingRow", "TPoly", "a_poly", "brackets",
+    "broken_circuits", "chromatic", "chromatic_polynomial", "circuits",
+    "complete_graph", "enumerate_if", "enumeration", "errors",
+    "forest_to_permutation", "graphs", "injection", "is_admissible_goodvertex",
+    "isf_counts", "isf_factorization_check", "isf_tpoly",
+    "movable_edge_search", "peo_isf_check", "permutation_psi",
+    "permutation_to_forest", "phi", "phi_inverse", "phi_reversed",
+    "polynomials", "psi", "spanning_forests", "stirling", "stirling_row",
+    "strong_logconcavity_check", "subset_pair_map", "verify_psi",
+    "whitney_check",
+]
+
+# (old module, class or None, name): public names that no command reached
+REMOVED = [
+    ("injection", None, "select_j"),
+    ("stirling", "Permutation", "identity"),
+    ("stirling", "Permutation", "from_mapping"),
+    ("polynomials", "MultiPoly", "variable"),
+    ("polynomials", "MultiPoly", "__neg__"),
+    ("polynomials", "MultiPoly", "__sub__"),
+    ("polynomials", "MultiPoly", "from_json"),
+    ("errors", None, "BadDegree"),
+    ("chromatic", None, "has_perfect_elimination_order"),
+    ("chromatic", None, "is_nbc"),
+    ("polynomials", None, "elementary_symmetric"),
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(isf.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module, owner, name", REMOVED)
+def test_removed_names_are_gone(module, owner, name):
+    for where in (isf, getattr(isf, module)):
+        if owner is not None:
+            where = getattr(where, owner)
+        with pytest.raises(AttributeError):
+            getattr(where, name)
 
 
 REPLAY = """

@@ -15,6 +15,7 @@ import isf
 from isf import Forest, OrderedGraph, complete_graph, psi
 from isf.chromatic import IntPoly
 from isf.stirling import Permutation, StirlingRow, permutation_psi, stirling_row
+from conftest import identity_permutation
 
 SRC = str(Path(isf.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -43,7 +44,7 @@ CASES = {
         "IntPoly(coeffs=(1, -2))",
     ),
     "Permutation": (
-        lambda: Permutation(3, ((1, 3), (2,))), Permutation.identity(3),
+        lambda: Permutation(3, ((1, 3), (2,))), identity_permutation(3),
         "Permutation(n=3, cycles=((1, 3), (2,)))",
     ),
     "StirlingRow": (
