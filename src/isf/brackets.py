@@ -54,14 +54,27 @@ def _as_ground(ground) -> tuple:
     return elems, members
 
 
-def _check_subset(ground: tuple, members, subset) -> frozenset:
+def _as_set(subset) -> frozenset:
     # a frozenset X is its own, repeat-free set
     items = subset if type(subset) is frozenset else tuple(subset)
     sub = frozenset(items)
     if len(sub) != len(items):
         raise NotASubset(f"subset has repeated elements: {subset!r}")
+    return sub
+
+
+def _check_subset(ground: tuple, members, subset) -> frozenset:
+    sub = _as_set(subset)
     if not sub <= members:
         raise NotASubset(f"{sorted(sub)} is not a subset of {list(ground)}")
+    return sub
+
+
+def _in_range(n: int, subset) -> frozenset:
+    # each element is checked against 1..n; [n] itself is never built
+    sub = _as_set(subset)
+    if not all(type(v) is int and 1 <= v <= n for v in sub):
+        raise NotASubset(f"{sorted(sub)} is not a subset of 1..{n}")
     return sub
 
 
@@ -126,9 +139,7 @@ def subset_pair_map(n: int, x, y) -> tuple:
     chosen by phi applied to X\\Y inside the symmetric difference.  Sizes
     shift by (+1, -1) and the multiset union of the pair is preserved.
     """
-    universe, members = _as_ground(range(1, n + 1))
-    xs = _check_subset(universe, members, x)
-    ys = _check_subset(universe, members, y)
+    xs, ys = _in_range(n, x), _in_range(n, y)
     if len(xs) >= len(ys):
         raise SizeViolation(f"need |X| < |Y|, got {len(xs)} >= {len(ys)}")
     delta = xs ^ ys

@@ -25,7 +25,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from operator import add
-from typing import NamedTuple
 
 from .errors import InputError
 from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph, _joined
@@ -69,9 +68,6 @@ class IntPoly(Record):
         return IntPoly(
             tuple((-1) ** (n + k) * c for k, c in enumerate(self.coeffs))
         )
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
 
 
 def circuits(g: OrderedGraph) -> list:
@@ -194,10 +190,8 @@ def chromatic_polynomial(g: OrderedGraph) -> IntPoly:
     return IntPoly((0,) * isolated + states[frozenset()])
 
 
-class WhitneyReport(NamedTuple):
-    counts: list
-    coeffs: list
-    equal: bool
+class WhitneyReport(Record):
+    _fields = ("counts", "coeffs", "equal")
 
 
 def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
@@ -243,17 +237,9 @@ def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
     return WhitneyReport(counts, coeffs, counts == coeffs)
 
 
-class MovableSearchReport(NamedTuple):
-    all_pairs_ok: bool
-    failures: list  # (A, B) pairs with no movable edge
-
-    def to_json(self) -> dict:
-        return {
-            "all_pairs_ok": self.all_pairs_ok,
-            "failures": [
-                [a.to_json(), b.to_json()] for (a, b) in self.failures
-            ],
-        }
+class MovableSearchReport(Record):
+    _fields = ("all_pairs_ok",
+               "failures")  # (A, B) pairs with no movable edge
 
 
 def apply_relabeling(g: OrderedGraph, perm) -> OrderedGraph:
@@ -302,10 +288,8 @@ def _has_movable_edge(a: Forest, b: Forest, good: dict) -> bool:
     return False
 
 
-class PeoReport(NamedTuple):
-    holds: bool
-    lhs: IntPoly
-    rhs: IntPoly
+class PeoReport(Record):
+    _fields = ("holds", "lhs", "rhs")
 
 
 def peo_isf_check(g: OrderedGraph) -> PeoReport:

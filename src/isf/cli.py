@@ -36,7 +36,6 @@ from .enumeration import (
 from .errors import InputError, InvariantViolation
 from .graphs import Forest, OrderedGraph
 from .injection import psi, verify_psi
-from .polynomials import MultiPoly
 from .stirling import (
     Permutation,
     forest_to_permutation,
@@ -84,8 +83,8 @@ def _cmd_enumerate(args):
 def _cmd_poly(args):
     g = _graph(args.graph)
     if args.k is not None:
-        return OK, {"poly": a_poly(g, args.k).to_json()}
-    return OK, {"tpoly": isf_tpoly(g).to_json()}
+        return OK, {"poly": a_poly(g, args.k)}
+    return OK, {"tpoly": isf_tpoly(g)}
 
 
 def _cmd_phi(args):
@@ -103,35 +102,30 @@ def _cmd_subset_map(args):
 
 def _cmd_psi(args):
     trace = psi(_graph(args.graph), _forest(args.forest_a), _forest(args.forest_b))
-    return OK, {"trace": trace.to_json()}
+    return OK, {"trace": trace}
 
 
 def _cmd_verify(args):
     report = verify_psi(_graph(args.graph), args.k, args.l)
     status = OK if report.injective else PROPERTY_FAILURE
-    return status, {"report": report.to_json()}
+    return status, {"report": report}
 
 
 def _cmd_stirling(args):
     if args.stirling_cmd == "row":
-        row = stirling_row(args.n)
-        return OK, {
-            "n": row.n,
-            "unsigned": list(row.unsigned),
-            "signed": list(row.signed),
-        }
+        return OK, stirling_row(args.n)
     if args.stirling_cmd == "to-perm":
-        return OK, {"perm": forest_to_permutation(_forest(args.forest)).to_json()}
+        return OK, {"perm": forest_to_permutation(_forest(args.forest))}
     if args.stirling_cmd == "to-forest":
         perm = Permutation.from_json(_load_json(args.perm))
-        return OK, {"forest": permutation_to_forest(perm).to_json()}
+        return OK, {"forest": permutation_to_forest(perm)}
     sigma = Permutation.from_json(_load_json(args.sigma))
     tau = Permutation.from_json(_load_json(args.tau))
-    return OK, {"move": permutation_psi(sigma, tau).to_json()}
+    return OK, {"move": permutation_psi(sigma, tau)}
 
 
 def _cmd_chromatic(args):
-    return OK, {"poly": chromatic_polynomial(_graph(args.graph)).to_json()}
+    return OK, {"poly": chromatic_polynomial(_graph(args.graph))}
 
 
 def _cmd_nbc(args):
@@ -146,41 +140,21 @@ def _cmd_admissible(args):
 
 def _cmd_search_movable(args):
     relabel = _int_set(args.relabel) if args.relabel is not None else None
-    report = movable_edge_search(_graph(args.graph), relabel)
-    return OK, report.to_json()
+    return OK, movable_edge_search(_graph(args.graph), relabel)
 
 
 def _cmd_check(args):
     g = _graph(args.graph)
     if args.check_cmd == "factorization":
         rep = isf_factorization_check(g)
-        status = OK if rep.equal else PROPERTY_FAILURE
-        return status, {
-            "equal": rep.equal,
-            "lhs": rep.lhs.to_json(),
-            "rhs": rep.rhs.to_json(),
-        }
+        return (OK if rep.equal else PROPERTY_FAILURE), rep
     if args.check_cmd == "logconcavity":
         rep = strong_logconcavity_check(g, args.p, args.q)
-        status = OK if rep.is_nonneg else PROPERTY_FAILURE
-        witness = None
-        if rep.witness is not None:  # the negative term, as to_json writes it
-            (witness,) = MultiPoly(dict([rep.witness])).to_json()["terms"]
-        return status, {"is_nonneg": rep.is_nonneg, "witness": witness}
+        return (OK if rep.is_nonneg else PROPERTY_FAILURE), rep
     if args.check_cmd == "whitney":
         rep = whitney_check(g, args.convention)
-        status = OK if rep.equal else PROPERTY_FAILURE
-        return status, {
-            "counts": rep.counts,
-            "coeffs": rep.coeffs,
-            "equal": rep.equal,
-        }
-    rep = peo_isf_check(g)
-    return OK, {
-        "holds": rep.holds,
-        "lhs": rep.lhs.to_json(),
-        "rhs": rep.rhs.to_json(),
-    }
+        return (OK if rep.equal else PROPERTY_FAILURE), rep
+    return OK, peo_isf_check(g)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _to_json(obj):
-    """`json.dumps` hook: a Forest's dict lives only while it is written."""
+    """`json.dumps` hook: a `to_json` value lives only while it is written."""
     if hasattr(obj, "to_json"):
         return obj.to_json()
     return json.JSONEncoder().default(obj)  # raises the encoder's TypeError

@@ -27,10 +27,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from typing import NamedTuple
 
 from .errors import IndexViolation, InputError
-from .graphs import Forest, OrderedGraph
+from .graphs import Forest, OrderedGraph, Record
 from .polynomials import MultiPoly, NonnegReport, TPoly
 
 
@@ -88,10 +87,8 @@ def isf_tpoly(g: OrderedGraph) -> TPoly:
     return TPoly([a_poly(g, k) for k in range(g.n + 1)])
 
 
-class FactorizationReport(NamedTuple):
-    equal: bool
-    lhs: TPoly
-    rhs: TPoly
+class FactorizationReport(Record):
+    _fields = ("equal", "lhs", "rhs")
 
 
 def isf_factorization_check(g: OrderedGraph) -> FactorizationReport:

@@ -18,11 +18,12 @@ vectors build forests directly, in one scan that also yields the minima.
 
 The value classes are frozen `Record`s: equality within one class, hash
 and repr (`Forest(n=3, edges=frozenset())`) read only the fields named in
-`_fields`, not values cached beside them.  A Forest stores n and its
-sorted edge tuple only; its frozenset `edges` is built from the tuple on
-first read, so forests that are only enumerated and printed never build
-one.  A validating record binds what it stores with object.__setattr__ in
-one fixed order: shared-key dicts stay small.
+`_fields`, not values cached beside them, and `to_json` gives the fields
+by name, nested values as they are.  A Forest stores n and its sorted
+edge tuple only; its frozenset `edges` is built from the tuple on first
+read, so forests that are only enumerated and printed never build one.
+A validating record binds what it stores with object.__setattr__ in one
+fixed order: shared-key dicts stay small.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from operator import add, mul
-from typing import NamedTuple
 
 from .brackets import phi
 from .errors import InvariantViolation, NotIncreasing, SizeViolation
@@ -63,9 +62,9 @@ class PsiTrace(Record):
             "A_comp": sorted(self.A_comp),
             "B_comp": sorted(self.B_comp),
             "i0": self.i0,
-            "e": list(self.e),
-            "A_out": self.A_out.to_json(),
-            "B_out": self.B_out.to_json(),
+            "e": self.e,
+            "A_out": self.A_out,
+            "B_out": self.B_out,
         }
 
 
@@ -120,24 +119,16 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     return tr
 
 
-class PsiReport(NamedTuple):
-    total_pairs: int
-    injective: bool
-    local: bool
-    weight_preserving: bool
-    collisions: list
+class PsiReport(Record):
+    _fields = ("total_pairs", "injective", "local", "weight_preserving",
+               "collisions")  # [first pair, later pair] per shared image
 
     def to_json(self) -> dict:
-        return {
-            "total_pairs": self.total_pairs,
-            "injective": self.injective,
-            "local": self.local,
-            "weight_preserving": self.weight_preserving,
-            "collisions": [
-                [a.to_json(), b.to_json()] for pairs in self.collisions
-                for (a, b) in pairs
-            ],
-        }
+        # each collision's two pairs are written one after the other
+        return dict(super().to_json(), collisions=[
+            [a.to_json(), b.to_json()] for pairs in self.collisions
+            for (a, b) in pairs
+        ])
 
 
 def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:

@@ -8,7 +8,7 @@ serialized in graded lexicographic order for deterministic output.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from .graphs import Record
 
 
 def _var_key(v) -> tuple:
@@ -24,9 +24,15 @@ def _mono_key(m: tuple) -> tuple:
     return (len(m), tuple(_var_key(v) for v in m))
 
 
-class NonnegReport(NamedTuple):
-    is_nonneg: bool
-    witness: Optional[tuple]  # (monomial, coefficient) of a negative term
+class NonnegReport(Record):
+    _fields = ("is_nonneg",
+               "witness")  # (monomial, coefficient) of a negative term
+
+    def to_json(self) -> dict:
+        witness = self.witness
+        if witness is not None:  # the negative term, as MultiPoly writes it
+            (witness,) = MultiPoly(dict([witness])).to_json()["terms"]
+        return {"is_nonneg": self.is_nonneg, "witness": witness}
 
 
 class MultiPoly:
@@ -152,7 +158,7 @@ class TPoly:
         return hash(tuple(self.coeffs))
 
     def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self.coeffs]}
+        return {"coeffs": self.coeffs}
 
     def __repr__(self):
         return f"TPoly({self.coeffs!r})"

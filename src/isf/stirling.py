@@ -48,9 +48,6 @@ class Permutation(Record):
     def cycle_count(self) -> int:
         return len(self.cycles)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "cycles": [list(c) for c in self.cycles]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
         if not (
@@ -122,15 +119,6 @@ class PermutationMove(Record):
                "broken_cycle",  # the cycle of sigma that was split in two
                "glued_pair",    # the two cycles of tau that merged
                "spectators_unchanged")
-
-    def to_json(self) -> dict:
-        return {
-            "sigma_p": self.sigma_p.to_json(),
-            "tau_p": self.tau_p.to_json(),
-            "broken_cycle": list(self.broken_cycle),
-            "glued_pair": [list(c) for c in self.glued_pair],
-            "spectators_unchanged": self.spectators_unchanged,
-        }
 
 
 def _multiset_diff(left, right) -> list:

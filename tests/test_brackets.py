@@ -203,6 +203,12 @@ def test_subset_pair_map_examples():
     assert subset_pair_map(2, set(), {1, 2}) == ({2}, {1}, 2)
     with pytest.raises(SizeViolation):
         subset_pair_map(3, {1, 2}, {3})
+    # elements are checked against 1..n one by one, as ints
+    assert subset_pair_map(10**12, {1}, {2, 10**12}) == (
+        {1, 10**12}, {2}, 10**12)
+    for x in ({0}, {5}, {True}, {2.0}):
+        with pytest.raises(NotASubset, match=r"is not a subset of 1\.\.4$"):
+            subset_pair_map(4, x, {2, 3})
 
 
 def test_subset_pair_map_contracts_and_injectivity():

@@ -62,6 +62,19 @@ def test_subset_map(capsys):
     assert rep["payload"] == {"x_new": [1, 3], "y_new": [2], "moved": 3}
 
 
+def test_subset_map_never_builds_its_universe(capsys):
+    # [n] for this n would not fit in memory; only X and Y are checked
+    status, rep = run(capsys, "subset-map", "--n", "1000000000000",
+                      "--x", "1", "--y", "2,3")
+    assert status == 0
+    assert rep["payload"] == {"x_new": [1, 3], "y_new": [2], "moved": 3}
+    status, rep = run(capsys, "subset-map", "--n", "1000000000000",
+                      "--x", "1", "--y", "2,1000000000001")
+    assert status == 2 and rep["payload"] is None
+    assert rep["diagnostics"] == [
+        "[2, 1000000000001] is not a subset of 1..1000000000000"]
+
+
 def test_psi_and_precondition_exit_code(capsys, k3, tmp_path):
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3]]}))
@@ -312,8 +325,9 @@ def test_exact_results_print_past_the_digit_limit(capsys):
 
 
 def test_emit_encodes_only_objects_with_to_json(capsys):
-    # enumerate hands _emit its Forests; any other foreign value still fails
-    # as json.dumps fails without the hook, and the digit limit comes back
+    # handlers hand _emit their result objects, such as enumerate's Forests;
+    # a value without to_json still fails as json.dumps fails without the
+    # hook, and the digit limit comes back
     _emit("enumerate", True, {"forests": [Forest(2, [(1, 2)])]}, [])
     assert json.loads(capsys.readouterr().out)["payload"] == {
         "forests": [{"n": 2, "edges": [[1, 2]]}]

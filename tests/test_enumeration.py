@@ -22,6 +22,7 @@ import isf.graphs
 import isf.enumeration
 from isf.enumeration import _class_coefficient, _forests_by_components, _lift_report
 from isf.injection import verify_psi
+from isf.polynomials import NonnegReport
 from conftest import (
     _y_difference,
     all_edge_subsets,
@@ -240,7 +241,8 @@ def test_logconcavity_multiplies_no_polynomials(monkeypatch):
         raise RuntimeError("MultiPoly product reached")
 
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
-    assert strong_logconcavity_check(complete_graph(40), 20, 20) == (True, None)
+    report = strong_logconcavity_check(complete_graph(40), 20, 20)
+    assert report == NonnegReport(True, None)
 
 
 def test_logconcavity_examples():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isf import MultiPoly, TPoly
+from isf.polynomials import NonnegReport
 from conftest import elementary_symmetric, variable
 
 minus_one = MultiPoly.const(-1)
@@ -41,7 +42,7 @@ def test_nonneg_report():
     rep = (x1 * x1 + minus_one * x1 * x2).nonneg_report()
     assert not rep.is_nonneg
     assert rep.witness == ((1, 2), -1)
-    assert MultiPoly.zero().nonneg_report() == (True, None)
+    assert MultiPoly.zero().nonneg_report() == NonnegReport(True, None)
 
 
 def test_elementary_symmetric():

@@ -1,7 +1,9 @@
-"""Value semantics of the seven frozen records built on `graphs.Record`.
+"""Value semantics of the thirteen frozen records built on `graphs.Record`.
 
-Every expected repr below was printed by the frozen dataclasses these
-classes replaced, so equality, hashing and repr keep their old meaning.
+Every expected repr below was printed by the frozen dataclasses (or, for
+the six reports, the NamedTuples) these classes replaced, so equality,
+hashing and repr keep their old meaning.  A report with a list field
+cannot be hashed, as before.
 """
 
 import os
@@ -12,8 +14,13 @@ from pathlib import Path
 import pytest
 
 import isf
-from isf import Forest, OrderedGraph, complete_graph, psi
+from isf import (
+    Forest, MultiPoly, OrderedGraph, complete_graph, isf_factorization_check,
+    movable_edge_search, peo_isf_check, psi, verify_psi, whitney_check,
+)
 from isf.chromatic import IntPoly
+from isf.graphs import Record
+from isf.polynomials import NonnegReport
 from isf.stirling import Permutation, StirlingRow, permutation_psi, stirling_row
 from conftest import identity_permutation
 
@@ -23,6 +30,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 E = frozenset({(1, 2)})
 K3 = complete_graph(3)
 A3 = Forest(3, frozenset({(1, 2), (1, 3)}))
+P2 = OrderedGraph(2, E)
+G33 = OrderedGraph(4, frozenset({(1, 4), (2, 3), (2, 4), (3, 4)}))
 
 
 def _move():
@@ -66,7 +75,40 @@ CASES = {
         "B_comp=frozenset({3}), i0=1, e=(1, 3), A_out_parent=(0, 0, 1, 0), "
         "B_out_parent=(0, 0, 0, 1))",
     ),
+    "FactorizationReport": (
+        lambda: isf_factorization_check(P2), isf_factorization_check(K3),
+        "FactorizationReport(equal=True, lhs=TPoly([MultiPoly(0), "
+        "MultiPoly(1*x(1, 2)), MultiPoly(1*1)]), rhs=TPoly([MultiPoly(0), "
+        "MultiPoly(1*x(1, 2)), MultiPoly(1*1)]))",
+    ),
+    "PeoReport": (
+        lambda: peo_isf_check(P2), peo_isf_check(OrderedGraph(3, {(1, 3), (2, 3)})),
+        "PeoReport(holds=True, lhs=IntPoly(coeffs=(0, 1, 1)), "
+        "rhs=IntPoly(coeffs=(0, 1, 1)))",
+    ),
+    "NonnegReport": (
+        lambda: MultiPoly({((1, 2), (1, 2)): -1}).nonneg_report(),
+        NonnegReport(True, None),
+        "NonnegReport(is_nonneg=False, witness=(((1, 2), (1, 2)), -1))",
+    ),
+    "WhitneyReport": (
+        lambda: whitney_check(K3, "min"), whitney_check(OrderedGraph(3, E), "min"),
+        "WhitneyReport(counts=[0, 2, 3, 1], coeffs=[0, 2, 3, 1], equal=True)",
+    ),
+    "PsiReport": (
+        lambda: verify_psi(K3, 1, 2), verify_psi(K3, 1, 3),
+        "PsiReport(total_pairs=6, injective=True, local=True, "
+        "weight_preserving=True, collisions=[])",
+    ),
+    "MovableSearchReport": (
+        lambda: movable_edge_search(P2), movable_edge_search(G33),
+        "MovableSearchReport(all_pairs_ok=True, failures=[])",
+    ),
 }
+# list fields: equal and printable, but as unhashable as the lists
+UNHASHABLE = {"MovableSearchReport", "PsiReport", "WhitneyReport"}
+# classes whose JSON is not their fields by name
+CUSTOM_JSON = {"Forest", "NonnegReport", "OrderedGraph", "PsiReport", "PsiTrace"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -74,7 +116,12 @@ def test_equality_hash_and_repr(name):
     make, other, want = CASES[name]
     a, b = make(), make()
     assert type(a).__name__ == name and a is not b
-    assert a == b and not a != b and hash(a) == hash(b)
+    assert a == b and not a != b
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
     assert a != other and not a == other
     assert repr(a) == want
     assert a != tuple(getattr(a, f) for f in a._fields)
@@ -98,6 +145,19 @@ def test_keyword_construction(name):
     a = CASES[name][0]()
     b = type(a)(**{f: getattr(a, f) for f in a._fields})
     assert b == a and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_default_to_json_is_the_fields_by_name(name):
+    a = CASES[name][0]()
+    if name in CUSTOM_JSON:
+        assert type(a).to_json is not Record.to_json
+        return
+    assert type(a).to_json is Record.to_json
+    out = a.to_json()
+    assert list(out) == list(a._fields)
+    for field in a._fields:  # nested values stay as they are
+        assert out[field] is getattr(a, field)
 
 
 def test_keyword_construction_validates():
