@@ -12,10 +12,12 @@ and forests appear only at their inputs and outputs.  The chromatic
 polynomial is a frontier DP over the vertex order (Noble, CPC 1998, for
 bounded tree-width): it reads only adjacency and never recurses.
 Whitney's NBC forests are counted in one pass over the ordered edges, on
-the component labels of the forests so far: an edge whose ends are already
+the blocks that the forests so far join among the vertices with a later
+edge, so a state costs the frontier, not n: an edge whose ends are already
 joined is externally active, so those forests hold a broken circuit and
 are dropped, and no circuit is ever listed.  Spanning forests are grown on
-the same labels.  Admissibility is read off the minima-rooted parent vector.
+component labels over all vertices.  Admissibility is read off the
+minima-rooted parent vector.
 
 Everything here is exact and sized for exhaustive checks on small graphs.
 """
@@ -202,30 +204,34 @@ def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
     active: its ends are joined by the forest's edges before it (Bjorner
     1992).  The edges go decreasing for remove-min and increasing for
     remove-max, so each broken circuit's omitted edge comes after the rest
-    of its circuit.  A state is a `_joined` label tuple, 0 on vertices with
-    no later edge and other blocks renumbered by first vertex; it maps to
-    its NBC counts by number of edges chosen.  A state whose labels join
-    an edge's ends dies there; any other skips or takes the edge.
+    of its circuit.  A state is the set of blocks, of two or more live
+    vertices (vertices with a later edge), that the chosen edges join; it
+    maps to its NBC counts by number of edges chosen.  A state with u and v
+    in one block dies at (u, v); any other skips or takes the edge.
     """
     convention = BrokenCircuitConvention.parse(convention)
     edges = g.sorted_edges
     if convention is BrokenCircuitConvention.REMOVE_MIN:
         edges = edges[::-1]
     last = {v: idx for idx, e in enumerate(edges) for v in e}
-    states = {tuple(range(g.n + 1)): (1,)}
+    states = {frozenset(): (1,)}
     for idx, (u, v) in enumerate(edges):
-        gone = [w for w in (u, v) if last[w] == idx]
+        gone = {w for w in (u, v) if last[w] == idx}
+        alone = frozenset((u,)), frozenset((v,))
         grown = {}
-        for label, by_edges in states.items():
-            if label[u] == label[v]:
+        for blocks, by_edges in states.items():
+            bu, bv = alone  # a vertex in no block is a block by itself
+            for block in blocks:
+                if u in block:
+                    bu = block
+                if v in block:
+                    bv = block
+            if bu is bv:
                 continue  # (u, v) is externally active for every completion
-            for new, weight in ((label, by_edges + (0,)),
-                                (_joined(label, u, v), (0, *by_edges))):
-                new = list(new)
-                for w in gone:
-                    new[w] = 0
-                first = {}
-                key = tuple([first.setdefault(x, w) for w, x in enumerate(new)])
+            rest = blocks - {bu, bv}
+            for new, weight in (((bu, bv), by_edges + (0,)),
+                                ((bu | bv,), (0, *by_edges))):
+                key = rest | {b for b in (c - gone for c in new) if len(b) > 1}
                 if key in grown:
                     weight = tuple(map(add, grown[key], weight))
                 grown[key] = weight

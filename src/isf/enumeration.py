@@ -25,10 +25,10 @@ subsets is the test suite's independent oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
-from .errors import IndexViolation, InputError
+from .errors import IndexViolation, InputError, InvariantViolation
 from .graphs import Forest, OrderedGraph, Record
 from .polynomials import MultiPoly, NonnegReport, TPoly
 
@@ -76,8 +76,13 @@ def isf_counts(g: OrderedGraph) -> tuple:
     degrees = [0] * (g.n + 1)
     for _, j in g.edges:
         degrees[j] += 1
+    return _product_counts(degrees[1:])
+
+
+def _product_counts(degrees) -> tuple:
+    """Coefficients of prod_j (t + d_j) over the sequence d, t^0 first."""
     coeffs = (1,)
-    for d in degrees[1:]:
+    for d in degrees:
         coeffs = tuple(d * a + b for a, b in zip(coeffs + (0,), (0,) + coeffs))
     return coeffs
 
@@ -114,40 +119,21 @@ def strong_logconcavity_check(g: OrderedGraph, p: int, q: int) -> NonnegReport:
     """Nonnegativity of a_p*a_q - a_{p-1}*a_{q+1} (coefficientwise).
 
     Visits the classes (a, b), a squares and b single y_j with d_j >= 1, of
-    e_r*e_s - e_{r+1}*e_{s-1}: C(b, r-a) - C(b, r+1-a) >= 0 as r - a >= b/2.
-    A negative class would list its monomials and report their x-lift: the
-    graded-lex-first negative x-monomial, with its coefficient there.
+    e_r*e_s - e_{r+1}*e_{s-1}: C(b, r-a) - C(b, r+1-a) >= 0 as r - a >= b/2,
+    and each x-coefficient is a positive multiple of its class's.  So the
+    result is proved, or a negative class raises InvariantViolation.
     """
     if not 0 < p <= q < g.n:
         raise IndexViolation(f"need 0 < p <= q < n={g.n}, got p={p}, q={q}")
-    js = sorted({j for _, j in g.edges})
+    size = len({j for _, j in g.edges})
     r, s = g.n - p, g.n - q
-    negative = {}
-    for a in range(min(s, len(js)) + 1):
+    for a in range(min(s, size) + 1):
         b = r + s - 2 * a
-        if a + b <= len(js) and (c := _class_coefficient(r, a, b)) < 0:
-            for twos in combinations(js, a):
-                for ones in combinations([j for j in js if j not in twos], b):
-                    negative[twos * 2 + ones] = c
-    return _lift_report(g, MultiPoly(negative))
+        if a + b <= size and (c := _class_coefficient(r, a, b)) < 0:
+            raise InvariantViolation(f"class a={a}, b={b} has coefficient {c}")
+    return NonnegReport(True, None)
 
 
 def _class_coefficient(r: int, a: int, b: int) -> int:
     """Of y^beta with a twos and b ones: r - a of the ones go to e_r."""
     return comb(b, r - a) - comb(b, r + 1 - a)
-
-
-def _lift_report(g: OrderedGraph, ypoly: MultiPoly) -> NonnegReport:
-    """nonneg_report of ypoly with y_j = sum of x_(i,j) over i < j in g.
-
-    Every x-lift of a y-term carries its sign.  The graded-lex-first lift
-    of y^beta takes (min smaller neighbor of j, j) for each factor y_j, with
-    multinomial 1, and distinct y-monomials have distinct lifts, so the
-    first negative lifted term is the first negative x-term.
-    """
-    lowest = {}
-    for i, j in g.edges:
-        lowest[j] = min(i, lowest.get(j, i))
-    return MultiPoly({
-        tuple((lowest[j], j) for j in m): c for m, c in ypoly.terms.items()
-    }).nonneg_report()

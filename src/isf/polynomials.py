@@ -26,13 +26,7 @@ def _mono_key(m: tuple) -> tuple:
 
 class NonnegReport(Record):
     _fields = ("is_nonneg",
-               "witness")  # (monomial, coefficient) of a negative term
-
-    def to_json(self) -> dict:
-        witness = self.witness
-        if witness is not None:  # the negative term, as MultiPoly writes it
-            (witness,) = MultiPoly(dict([witness])).to_json()["terms"]
-        return {"is_nonneg": self.is_nonneg, "witness": witness}
+               "witness")  # first negative (monomial, coefficient), or None
 
 
 class MultiPoly:

@@ -16,8 +16,8 @@ leaving all spectator cycles untouched.
 from __future__ import annotations
 
 from .errors import InputError, NonCanonicalCycle, NotIncreasing, SizeViolation
-from .graphs import Forest, Record, _check_vertex_count, complete_graph
-from .enumeration import isf_counts
+from .graphs import Forest, OrderedGraph, Record, _check_vertex_count
+from .enumeration import _product_counts
 from .injection import psi
 
 
@@ -103,9 +103,11 @@ def stirling_row(n: int) -> StirlingRow:
     """c(n, k) as the number of increasing forests of K_n with k components.
 
     They are counted through the factorization, as the coefficients of
-    t(t + 1)...(t + n - 1); no forest is built.
+    t(t + 1)...(t + n - 1): in K_n vertex j has j - 1 smaller neighbors,
+    so neither K_n nor any forest is built.
     """
-    unsigned = isf_counts(complete_graph(n))
+    _check_vertex_count(n)
+    unsigned = _product_counts(range(n))
     signed = tuple(
         (-1) ** (n - k) * unsigned[k] for k in range(n + 1)
     )
@@ -138,8 +140,9 @@ def permutation_psi(sigma: Permutation, tau: Permutation) -> PermutationMove:
             "need cycles(sigma) < cycles(tau), got "
             f"{sigma.cycle_count()} >= {tau.cycle_count()}"
         )
-    g = complete_graph(sigma.n)
-    tr = psi(g, permutation_to_forest(sigma), permutation_to_forest(tau))
+    # psi reads K_n only to check the forests lie in it; their union will do
+    a, b = permutation_to_forest(sigma), permutation_to_forest(tau)
+    tr = psi(OrderedGraph(sigma.n, a.edges | b.edges), a, b)
     sigma_p = forest_to_permutation(tr.A_out)
     tau_p = forest_to_permutation(tr.B_out)
 

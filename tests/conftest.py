@@ -113,21 +113,6 @@ def _y_difference(g, p, q):
             + MultiPoly.const(-1) * e(n - p + 1) * e(n - q - 1))
 
 
-def y_substituted(g, ypoly):
-    """ypoly with every y_j replaced by the sum of x_(i,j) over i < j in g."""
-    y = {
-        j: MultiPoly({((i, j),): 1 for i in g.smaller_neighbors(j)})
-        for j in range(1, g.n + 1)
-    }
-    out = MultiPoly.zero()
-    for m, c in ypoly.terms.items():
-        term = MultiPoly.const(c)
-        for j in m:
-            term = term * y[j]
-        out = out + term
-    return out
-
-
 def reference_component(f, v):
     """The vertex set of v's component, by BFS over f's edge list."""
     seen, queue = {v}, deque([v])

@@ -181,19 +181,45 @@ def test_whitney_matches_enumerative_oracle(graphs_on_5):
             ), (g, convention)
 
 
-def test_whitney_lists_no_circuit(monkeypatch):
+def _whitney_without(monkeypatch, names, message):
+    # whitney_check agrees with the oracle while each name raises message
     graphs = [petersen_graph(), band_graph(8, 3)]
     want = [
         (g, c, enumerative_whitney(g, c)) for g in graphs for c in ("min", "max")
     ]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("whitney_check listed circuits")
+        raise AssertionError(message)
 
-    monkeypatch.setattr(isf.chromatic, "circuits", forbidden)
-    monkeypatch.setattr(isf.chromatic, "broken_circuits", forbidden)
+    for name in names:
+        monkeypatch.setattr(isf.chromatic, name, forbidden)
     for g, convention, report in want:
         assert whitney_check(g, convention) == report, (g, convention)
+
+
+def test_whitney_lists_no_circuit(monkeypatch):
+    _whitney_without(monkeypatch, ["circuits", "broken_circuits"],
+                     "whitney_check listed circuits")
+
+
+def test_whitney_reads_no_label_tuple(monkeypatch):
+    # its states are blocks of live vertices, not labels over all of 1..n
+    _whitney_without(monkeypatch, ["_joined"], "whitney_check read a label tuple")
+
+
+@pytest.mark.parametrize("convention", ["min", "max"])
+def test_whitney_nbc_pass_on_long_path_costs_the_frontier(monkeypatch,
+                                                          convention):
+    # on a path at most two vertices are live, so a step costs its count
+    # vector, not n; the chromatic side, t (t - 1)^(n - 1), is stubbed
+    n = 1500
+    path = _path(n)
+    coeffs = [0] + [(-1) ** (n - k) * comb(n - 1, k - 1) for k in range(1, n + 1)]
+    monkeypatch.setattr(isf.chromatic, "chromatic_polynomial",
+                        lambda g: IntPoly(coeffs))
+    with time_limit(0.5):
+        rep = whitney_check(path, convention)
+    assert rep.equal and rep.counts == [abs(c) for c in coeffs]
 
 
 def test_whitney_k8_is_the_stirling_row():

@@ -2,14 +2,13 @@ import contextlib
 import io
 import json
 import sys
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isf import Forest, MultiPoly, complete_graph, stirling_row
+from isf import Forest, stirling_row
+import isf.enumeration
 from isf.cli import _emit, main
-from conftest import y_substituted
 
 
 @pytest.fixture
@@ -141,25 +140,21 @@ def test_chromatic_and_checks(capsys, k3, g33):
     assert status == 0 and rep["payload"]["holds"]
 
 
-def test_logconcavity_witness_is_the_first_lifted_term(capsys, monkeypatch,
-                                                      tmp_path):
-    # no class is negative for 0 < p <= q < n, so force every class to -1:
-    # the y-difference is then minus every y-monomial of degree r + s
-    monkeypatch.setattr("isf.enumeration._class_coefficient", lambda r, a, b: -1)
-    g = complete_graph(4)
-    path = tmp_path / "k4.json"
-    path.write_text(json.dumps(g.to_json()))
+def test_negative_logconcavity_class_exits_1(capsys, monkeypatch, tmp_path):
+    # no class is negative for 0 < p <= q < n, so force the class (2, 2) of
+    # this graph's p = q = 2 difference below zero
+    coefficient = isf.enumeration._class_coefficient
+    monkeypatch.setattr(
+        isf.enumeration, "_class_coefficient",
+        lambda r, a, b: -1 if (a, b) == (2, 2) else coefficient(r, a, b),
+    )
+    path = tmp_path / "g5.json"
+    path.write_text(json.dumps({"n": 5, "edges": [
+        [1, 2], [1, 3], [2, 3], [2, 4], [3, 4], [3, 5], [4, 5]]}))
     status, rep = run(capsys, "check", "logconcavity", "--graph", str(path),
                       "--p", "2", "--q", "2")
-    js = sorted({j for _, j in g.edges})
-    ypoly = MultiPoly({
-        tuple(j for j, k in zip(js, beta) for _ in range(k)): -1
-        for beta in product((0, 1, 2), repeat=len(js)) if sum(beta) == 4
-    })
-    first = y_substituted(g, ypoly).to_json()["terms"][0]
-    assert status == 1 and not rep["ok"]
-    assert rep["payload"] == {"is_nonneg": False, "witness": first}
-    assert first == {"vars": [[1, 2], [1, 2], [1, 3], [1, 3]], "coef": "-1"}
+    assert status == 1 and rep["ok"] is False and rep["payload"] is None
+    assert rep["diagnostics"] == ["class a=2, b=2 has coefficient -1"]
 
 
 def test_nbc_and_admissible(capsys, g33, tmp_path):

@@ -5,7 +5,8 @@ survives, so the collector never runs in an `isf` process.  That is only
 free if commands build no reference cycles; the first test checks it on
 the golden corpus.  The others replay the corpus through a real
 `python -m isf.cli` process, check that `main()` itself leaves a library
-caller's GC settings alone, and keep the start-up imports small.
+caller's GC settings alone, keep the start-up imports small, and bound the
+peak memory of commands whose inputs and outputs are of polynomial size.
 """
 
 import contextlib
@@ -144,3 +145,51 @@ def test_main_keeps_the_callers_gc_setting(enabled, capsys):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# A child's peak-RSS count starts at the resident size of the process that
+# spawned it, so a small launcher spawns the command and reports its usage
+# through `os.wait4` on the command's own pid.
+LAUNCHER = """
+import os, signal, sys
+out, seconds, *argv = sys.argv[1:]
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, out, flags, 0o644)])
+signal.signal(signal.SIGALRM, lambda *_: os.kill(pid, signal.SIGKILL))
+signal.alarm(int(seconds))
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _cycles_json(n, cycles):
+    return json.dumps({"n": n, "cycles": [list(c) for c in cycles]})
+
+
+def _path_json(n):
+    return json.dumps({"n": n, "edges": [[i, i + 1] for i in range(1, n)]})
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["stirling", "row", "--n", "1000"], {}),
+    (["stirling", "psi", "--sigma", "sigma.json", "--tau", "tau.json"], {
+        "sigma.json": _cycles_json(1000, [[1, *range(1000, 1, -1)]]),
+        "tau.json": _cycles_json(1000, [range(1, 1001, 2), range(2, 1001, 2)]),
+    }),
+    (["check", "whitney", "--graph", "path.json"], {
+        "path.json": _path_json(3000)}),
+], ids=["stirling-row", "stirling-psi", "check-whitney"])
+def test_polynomial_inputs_stay_under_60_mb(argv, files, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "stdout.json"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCHER, str(out), "300",
+         "-m", "isf.cli", *argv],
+        cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=600,
+        check=True,
+    )
+    status, maxrss_kb = map(int, proc.stdout.split())
+    assert status == 0 and json.loads(out.read_text())["ok"]
+    assert maxrss_kb / 1024 < 60, f"peak RSS {maxrss_kb / 1024:.1f} MB"

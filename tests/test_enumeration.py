@@ -8,6 +8,7 @@ from isf import (
     Forest,
     IndexViolation,
     InputError,
+    InvariantViolation,
     MultiPoly,
     OrderedGraph,
     a_poly,
@@ -20,7 +21,7 @@ from isf import (
 )
 import isf.graphs
 import isf.enumeration
-from isf.enumeration import _class_coefficient, _forests_by_components, _lift_report
+from isf.enumeration import _class_coefficient, _forests_by_components
 from isf.injection import verify_psi
 from isf.polynomials import NonnegReport
 from conftest import (
@@ -30,7 +31,6 @@ from conftest import (
     enumerative_counts,
     variable,
     x_logconcavity_difference,
-    y_substituted,
 )
 
 K3 = complete_graph(3)
@@ -163,26 +163,6 @@ def test_logconcavity_matches_x_expansion_k6():
     _check_logconcavity_against_x_expansion(complete_graph(6))
 
 
-def test_lift_report_witness_against_every_lift():
-    # smaller neighbours: 2 -> {1}, 3 -> {1, 2}, 4 -> {2, 3}
-    g = OrderedGraph(4, frozenset({(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}))
-    y, c = variable, MultiPoly.const
-    ypoly = (
-        c(5) * y(2) * y(3)
-        + c(-2) * y(4) * y(4)
-        + c(-3) * y(3) * y(4)
-        + y(3) * y(3)
-        + c(-1) * y(2) * y(4)
-    )
-    report = _lift_report(g, ypoly)
-    assert report == y_substituted(g, ypoly).nonneg_report()
-    # (1,2)(2,4) beats the lifts (1,3)(2,4), (1,3)(3,4), ... of -3*y3*y4
-    assert report.witness == (((1, 2), (2, 4)), -1)
-    nonneg = y(2) * y(3) + y(4) * y(4)
-    assert _lift_report(g, nonneg) == y_substituted(g, nonneg).nonneg_report()
-    assert _lift_report(g, nonneg).is_nonneg
-
-
 def _class_mismatches(coefficient, graphs):
     """Every (g, p, q, y-monomial) on which coefficient(r, a, b) differs from
     the oracle, over all beta in {0, 1, 2}^J of degree r + s."""
@@ -215,7 +195,7 @@ def test_off_by_one_class_coefficient_fails_the_oracle(graphs_on_5):
     assert _class_mismatches(shifted, graphs_on_5)
 
 
-def test_negative_class_reports_its_graded_lex_first_lift(monkeypatch):
+def test_negative_class_raises_and_names_it(monkeypatch):
     # smaller neighbours: 2 -> {1}, 3 -> {1, 2}, 4 -> {2, 3}, 5 -> {3, 4};
     # at p = q = 2 the classes (a, b) are (2, 2) and (3, 0)
     g = OrderedGraph(5, frozenset(
@@ -226,14 +206,12 @@ def test_negative_class_reports_its_graded_lex_first_lift(monkeypatch):
         return -1 if (a, b) == (2, 2) else _class_coefficient(r, a, b)
 
     monkeypatch.setattr(isf.enumeration, "_class_coefficient", negate_one_class)
-    report = strong_logconcavity_check(g, 2, 2)
-    negated = MultiPoly({
-        m: -1 for m in _y_difference(g, 2, 2).terms
-        if sorted(Counter(m).values()) == [1, 1, 2, 2]
-    })
-    assert len(negated.terms) == comb(4, 2)  # the two ones are the rest of J
-    assert not report.is_nonneg
-    assert report == y_substituted(g, negated).nonneg_report()
+    with pytest.raises(InvariantViolation) as err:
+        strong_logconcavity_check(g, 2, 2)
+    assert str(err.value) == "class a=2, b=2 has coefficient -1"
+    # a class with no monomial in the graph is never read: (2, 2) needs |J| >= 4
+    small = OrderedGraph(5, frozenset({(1, 2), (1, 3), (2, 3)}))
+    assert strong_logconcavity_check(small, 2, 2) == NonnegReport(True, None)
 
 
 def test_logconcavity_multiplies_no_polynomials(monkeypatch):

@@ -108,7 +108,7 @@ CASES = {
 # list fields: equal and printable, but as unhashable as the lists
 UNHASHABLE = {"MovableSearchReport", "PsiReport", "WhitneyReport"}
 # classes whose JSON is not their fields by name
-CUSTOM_JSON = {"Forest", "NonnegReport", "OrderedGraph", "PsiReport", "PsiTrace"}
+CUSTOM_JSON = {"Forest", "OrderedGraph", "PsiReport", "PsiTrace"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,4 +1,5 @@
 from itertools import permutations as iter_permutations
+from math import factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from isf import (
     InputError,
     NonCanonicalCycle,
     NotIncreasing,
+    OrderedGraph,
     Permutation,
     SizeViolation,
     complete_graph,
@@ -123,6 +125,26 @@ def test_permutation_psi_bijective_case():
     assert move.sigma_p == identity_permutation(2)
     assert move.tau_p == Permutation(2, ((1, 2),))
     assert move.spectators_unchanged
+
+
+def test_stirling_commands_build_no_complete_graph(monkeypatch):
+    # stirling_row reads only d_j = j - 1 of K_n, and psi reads its graph
+    # only to check that both forests lie in it
+    built = []
+    init = OrderedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self.edges))
+
+    monkeypatch.setattr(OrderedGraph, "__init__", counting_init)
+    assert sum(stirling_row(50).unsigned) == factorial(50)
+    assert built == []
+    n = 8
+    sigma = Permutation(n, ((1, 5, 2, 8, 3, 7, 4, 6),))
+    tau = Permutation(n, ((1, 3, 5, 7), (2, 4, 6, 8)))
+    assert permutation_psi(sigma, tau).spectators_unchanged
+    assert len(built) == 1 and built[0] <= 2 * (n - 1)
 
 
 def test_permutation_psi_preconditions():
