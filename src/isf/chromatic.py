@@ -1,11 +1,14 @@
 """Chromatic polynomials, broken circuits, and good-vertex admissibility.
 
 Edges (i, j) with i < j are ordered lexicographically.  A broken circuit
-is a circuit minus its extremal edge in that order; both the remove-min
-convention (the classical one) and remove-max are implemented because the
-two disagree on individual forests while producing the same per-component
-counts.  The good-vertex predicate is the rooted-forest reformulation of
-admissibility, and is the notion used by the movable-edge search.
+is a circuit minus its extremal edge in that order; the remove-min
+convention (the classical one) and remove-max disagree on individual
+forests but give the same per-component counts.  A convention is an edge
+order, decreasing for remove-min, in which the omitted edge of a circuit
+comes last: its ends are the first the earlier edges join (Bjorner 1992),
+so each circuit is listed once, as a path that edge closes.  The
+good-vertex predicate is the rooted-forest reformulation of admissibility,
+and is the notion used by the movable-edge search.
 
 The hot paths work on raw edge sets and parent vectors; validated graphs
 and forests appear only at their inputs and outputs.  The chromatic
@@ -24,31 +27,12 @@ Everything here is exact and sized for exhaustive checks on small graphs.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from operator import add
 
 from .errors import InputError
 from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph, _joined
 from .enumeration import isf_counts
-
-
-class BrokenCircuitConvention(Enum):
-    REMOVE_MIN = "remove_min"
-    REMOVE_MAX = "remove_max"
-
-    @classmethod
-    def parse(cls, value) -> "BrokenCircuitConvention":
-        if isinstance(value, cls):
-            return value
-        aliases = {
-            "min": cls.REMOVE_MIN, "remove_min": cls.REMOVE_MIN,
-            "max": cls.REMOVE_MAX, "remove_max": cls.REMOVE_MAX,
-        }
-        try:
-            return aliases[value]
-        except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list
-            raise InputError(f"unknown convention {value!r}") from None
 
 
 class IntPoly(Record):
@@ -72,46 +56,48 @@ class IntPoly(Record):
         )
 
 
-def circuits(g: OrderedGraph) -> list:
-    """All circuits of g as edge sets, sorted by (size, edge list).
+def _edge_order(g: OrderedGraph, convention) -> list:
+    """g's edges, each circuit's omitted edge last: decreasing for "min"."""
+    if convention not in ("min", "max"):
+        raise InputError(f"unknown convention {convention!r}")
+    return g.sorted_edges[::-1] if convention == "min" else g.sorted_edges
 
-    For each edge (u, v), every simple path from u to v avoiding that edge
-    closes a circuit; duplicates are removed.  Intended for desk-scale
-    graphs only.
-    """
-    adj = {v: set() for v in range(1, g.n + 1)}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    found = set()
-    for u, v in sorted(g.edges):
-        # simple paths u -> v not using edge (u, v)
-        stack = [(u, (u,), frozenset())]
-        while stack:
-            cur, path, used = stack.pop()
-            for w in adj[cur]:
-                if {cur, w} == {u, v}:
-                    continue
-                if w == v:
-                    found.add(used | {(min(cur, w), max(cur, w)), (u, v)})
-                elif w not in path:
-                    stack.append(
-                        (w, path + (w,), used | {(min(cur, w), max(cur, w))})
-                    )
+
+def _circuit_paths(n: int, order) -> list:
+    """(e, C - e) for each circuit C, e its last edge in order: when the
+    edges before e = (u, v) join u and v, as `_joined` labels tell, each
+    simple u-v path through them is one C - e.  It fixes e: no C repeats."""
+    adj = [[] for _ in range(n + 1)]
+    label, found = tuple(range(n + 1)), []
+    for e in order:
+        u, v = e
+        if (joined := _joined(label, u, v)) is not None:
+            label = joined
+        else:
+            stack = [(u,)]  # paths from u, as vertex tuples
+            while stack:
+                path = stack.pop()
+                for w in adj[path[-1]]:
+                    if w == v:
+                        steps = zip(path, (*path[1:], v))
+                        found.append((e, frozenset((min(s), max(s)) for s in steps)))
+                    elif w not in path:
+                        stack.append((*path, w))
+        adj[u].append(v)
+        adj[v].append(u)
+    return found
+
+
+def circuits(g: OrderedGraph) -> list:
+    """All circuits of g as edge sets, sorted by (size, edge list)."""
+    found = [path | {e} for e, path in _circuit_paths(g.n, _edge_order(g, "min"))]
     return sorted(found, key=lambda c: (len(c), sorted(c)))
 
 
 def broken_circuits(g: OrderedGraph, convention) -> list:
-    """Each circuit minus its extremal edge under the lexicographic order."""
-    convention = BrokenCircuitConvention.parse(convention)
-    out = set()
-    for circuit in circuits(g):
-        edge = (
-            min(circuit) if convention is BrokenCircuitConvention.REMOVE_MIN
-            else max(circuit)
-        )
-        out.add(circuit - {edge})
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+    """Each circuit minus its last edge in the convention's order."""
+    found = [path for _, path in _circuit_paths(g.n, _edge_order(g, convention))]
+    return sorted(found, key=lambda c: (len(c), sorted(c)))
 
 
 def is_admissible_goodvertex(g: OrderedGraph, f: Forest) -> bool:
@@ -202,17 +188,13 @@ def whitney_check(g: OrderedGraph, convention) -> WhitneyReport:
 
     A forest holds a broken circuit iff an edge outside it is externally
     active: its ends are joined by the forest's edges before it (Bjorner
-    1992).  The edges go decreasing for remove-min and increasing for
-    remove-max, so each broken circuit's omitted edge comes after the rest
-    of its circuit.  A state is the set of blocks, of two or more live
-    vertices (vertices with a later edge), that the chosen edges join; it
-    maps to its NBC counts by number of edges chosen.  A state with u and v
-    in one block dies at (u, v); any other skips or takes the edge.
+    1992), in the convention's edge order.  A state is the set of blocks,
+    of two or more live vertices (vertices with a later edge), that the
+    chosen edges join; it maps to its NBC counts by number of edges chosen.
+    A state with u and v in one block dies at (u, v); any other skips or
+    takes the edge.
     """
-    convention = BrokenCircuitConvention.parse(convention)
-    edges = g.sorted_edges
-    if convention is BrokenCircuitConvention.REMOVE_MIN:
-        edges = edges[::-1]
+    edges = _edge_order(g, convention)
     last = {v: idx for idx, e in enumerate(edges) for v in e}
     states = {frozenset(): (1,)}
     for idx, (u, v) in enumerate(edges):

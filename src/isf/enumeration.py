@@ -79,11 +79,12 @@ def isf_counts(g: OrderedGraph) -> tuple:
     return _product_counts(degrees[1:])
 
 
-def _product_counts(degrees) -> tuple:
-    """Coefficients of prod_j (t + d_j) over the sequence d, t^0 first."""
-    coeffs = (1,)
-    for d in degrees:
-        coeffs = tuple(d * a + b for a, b in zip(coeffs + (0,), (0,) + coeffs))
+def _product_counts(factors, one=1, zero=0) -> tuple:
+    """Coefficients of prod_j (t + f_j) over the sequence f, t^0 first:
+    ints by default, or MultiPolys with their own one and zero."""
+    coeffs = (one,)
+    for f in factors:
+        coeffs = tuple(f * a + b for a, b in zip(coeffs + (zero,), (zero,) + coeffs))
     return coeffs
 
 
@@ -103,15 +104,9 @@ def isf_factorization_check(g: OrderedGraph) -> FactorizationReport:
     expanded, must coincide with the enumeration for every input.
     """
     lhs = isf_tpoly(g)
-    coeffs = [MultiPoly.one()]
-    for j in range(1, g.n + 1):
-        const = MultiPoly({((i, j),): 1 for i in g.smaller_neighbors(j)})
-        nxt = [MultiPoly.zero()] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d + 1] = nxt[d + 1] + c
-            nxt[d] = nxt[d] + c * const
-        coeffs = nxt
-    rhs = TPoly(coeffs)
+    y = [MultiPoly({((i, j),): 1 for i in g.smaller_neighbors(j)})
+         for j in range(1, g.n + 1)]
+    rhs = TPoly(_product_counts(y, MultiPoly.one(), MultiPoly.zero()))
     return FactorizationReport(lhs == rhs, lhs, rhs)
 
 

@@ -1,14 +1,16 @@
 """Vertex-ordered simple graphs and spanning forests.
 
 Vertices are the integers 1..n with their natural order.  Edges are stored
-as pairs (i, j) with i < j.  A Forest always carries its ambient vertex
-count n and is spanning by convention: isolated vertices are singleton
-components.  Acyclicity is validated at construction time: an edge set
-whose larger endpoints are all distinct gives each vertex at most one
-smaller neighbour, and a circuit's largest vertex has two, so such a set
-is a forest (an increasing one).  Only when a larger endpoint repeats is
-the sorted edge list scanned, relabeling components as it goes.  Invalid
-edge sets are rejected, never repaired; so is JSON with a repeated edge.
+as pairs (i, j) with i < j.  A Forest is an OrderedGraph whose edges hold
+no circuit, so edges are validated, stored and read from and written to
+JSON in one place; the forest adds its cycle scan and its rooted views.
+It is spanning by convention: isolated vertices are singleton components.
+Acyclicity is validated at construction time: an edge set whose larger
+endpoints are all distinct gives each vertex at most one smaller
+neighbour, and a circuit's largest vertex has two, so such a set is a
+forest (an increasing one).  Only when a larger endpoint repeats is the
+sorted edge list scanned, relabeling components as it goes.  Invalid edge
+sets are rejected, never repaired; so is JSON with a repeated edge.
 
 Rooting every component at its minimum gives a forest its parent vector
 (0 marks a root), its one rooted form.  A Forest computes it lazily, once,
@@ -19,9 +21,9 @@ vectors build forests directly, in one scan that also yields the minima.
 The value classes are frozen `Record`s: equality within one class, hash
 and repr (`Forest(n=3, edges=frozenset())`) read only the fields named in
 `_fields`, not values cached beside them, and `to_json` gives the fields
-by name, nested values as they are.  A Forest stores n and its sorted
-edge tuple only; its frozenset `edges` is built from the tuple on first
-read, so forests that are only enumerated and printed never build one.
+by name, nested values as they are.  A graph or forest stores n and its
+sorted edge tuple only; its frozenset `edges` is built from the tuple on
+first read, so forests that are only enumerated and printed never build one.
 A validating record binds what it stores with object.__setattr__ in one
 fixed order: shared-key dicts stay small.
 """
@@ -73,25 +75,6 @@ def _checked_edges(n: int, edges) -> tuple:
     return tuple(sorted(out))
 
 
-def _from_json(cls, obj, what: str):
-    """cls(n, edges) from {'n': int, 'edges': [[i,j],...]}; a repeated
-    edge is rejected, not merged."""
-    if not (
-        isinstance(obj, dict) and "n" in obj
-        and isinstance(obj.get("edges"), list)
-        and all(isinstance(e, list) for e in obj["edges"])
-    ):
-        raise InputError(f"{what} JSON must be {{'n': int, 'edges': [[i,j],...]}}")
-    out = cls(obj["n"], obj["edges"])
-    if len(out.edges) < len(obj["edges"]):
-        seen = set()
-        for i, j in obj["edges"]:  # each one validated by cls
-            if (i, j) in seen:
-                raise InputError(f"edge ({i},{j}) is repeated")
-            seen.add((i, j))
-    return out
-
-
 class Record:
     """Immutable value over `_fields`, bound positionally or by keyword."""
 
@@ -129,45 +112,69 @@ class Record:
 
 
 class OrderedGraph(Record):
-    """Simple graph on vertices 1..n with the natural total order."""
-
-    _fields = ("n", "edges")
-
-    def __init__(self, n: int, edges=()):
-        _check_vertex_count(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(_checked_edges(n, edges)))
-
-    def smaller_neighbors(self, j: int) -> list:
-        """Neighbors i of j with i < j, sorted increasing."""
-        return sorted(i for (i, jj) in self.edges if jj == j)
-
-    @property
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OrderedGraph":
-        return _from_json(cls, obj, "graph")
-
-
-class Forest(Record):
-    """Acyclic edge set over the ambient vertex set 1..n (spanning).
+    """Simple graph on vertices 1..n with the natural total order.
 
     Stores n and `_sorted_edges`, its edges as a sorted tuple, which
     `sort_key`, `sorted_edges` and `to_json` read; `edges` is cached.
     """
 
     _fields = ("n", "edges")
+    _kind = "graph"  # names the value in JSON errors
 
     def __init__(self, n: int, edges=()):
         _check_vertex_count(n)
         ordered = _checked_edges(n, edges)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_sorted_edges", ordered)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset(self._sorted_edges)
+
+    def smaller_neighbors(self, j: int) -> list:
+        """Neighbors i of j with i < j, sorted increasing."""
+        return [i for i, jj in self._sorted_edges if jj == j]
+
+    @property
+    def sorted_edges(self) -> list:
+        return list(self._sorted_edges)
+
+    def sort_key(self) -> tuple:
+        return self._sorted_edges
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "edges": [list(e) for e in self._sorted_edges]}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """cls(n, edges) from {'n': int, 'edges': [[i,j],...]}; a repeated
+        edge is rejected, not merged."""
+        if not (
+            isinstance(obj, dict) and "n" in obj
+            and isinstance(obj.get("edges"), list)
+            and all(isinstance(e, list) for e in obj["edges"])
+        ):
+            raise InputError(
+                f"{cls._kind} JSON must be {{'n': int, 'edges': [[i,j],...]}}"
+            )
+        out = cls(obj["n"], obj["edges"])
+        if len(out._sorted_edges) < len(obj["edges"]):
+            seen = set()
+            for i, j in obj["edges"]:  # each one validated by cls
+                if (i, j) in seen:
+                    raise InputError(f"edge ({i},{j}) is repeated")
+                seen.add((i, j))
+        return out
+
+
+class Forest(OrderedGraph):
+    """Acyclic edge set over the ambient vertex set 1..n (spanning)."""
+
+    _kind = "forest"
+
+    def __init__(self, n: int, edges=()):
+        super().__init__(n, edges)
+        ordered = self._sorted_edges
         if len({j for _, j in ordered}) == len(ordered):
             return
         label = tuple(range(n + 1))
@@ -203,10 +210,6 @@ class Forest(Record):
         object.__setattr__(f, "_sorted_edges", tuple(edges))
         f.__dict__.update(parent=parent, minima=frozenset(minima), increasing=True)
         return f
-
-    @cached_property
-    def edges(self) -> frozenset:
-        return frozenset(self._sorted_edges)
 
     @cached_property
     def parent(self) -> tuple:
@@ -256,22 +259,8 @@ class Forest(Record):
                 for r in self.minima}
         return tuple(sets.get(r, frozenset()) for r in root)
 
-    @property
-    def sorted_edges(self) -> list:
-        return list(self._sorted_edges)
-
-    def sort_key(self) -> tuple:
-        return self._sorted_edges
-
     def component_count(self) -> int:
         return self.n - len(self._sorted_edges)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self._sorted_edges]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Forest":
-        return _from_json(cls, obj, "forest")
 
 
 def _check_forest_in_graph(g: OrderedGraph, f: Forest, label: str) -> None:

@@ -87,9 +87,12 @@ def permutation_to_forest(p: Permutation) -> Forest:
     """Attach each cycle element to the nearest smaller element on its left."""
     parent = [0] * (p.n + 1)
     for cycle in p.cycles:
-        for idx in range(1, len(cycle)):  # cycle[0] is the minimum: a root
-            v = cycle[idx]
-            parent[v] = next(u for u in reversed(cycle[:idx]) if u < v)
+        stack = [0]  # 0, then the elements so far with no smaller one after
+        for v in cycle:  # cycle[0] is the minimum: it finds 0, a root
+            while stack[-1] > v:
+                stack.pop()
+            parent[v] = stack[-1]
+            stack.append(v)
     return Forest.from_parent(parent)
 
 
@@ -124,11 +127,9 @@ class PermutationMove(Record):
 
 
 def _multiset_diff(left, right) -> list:
-    out = list(left)
-    for c in right:
-        if c in out:
-            out.remove(c)
-    return out
+    """The cycles of left not in right: one permutation's are distinct."""
+    right = set(right)
+    return [c for c in left if c not in right]
 
 
 def permutation_psi(sigma: Permutation, tau: Permutation) -> PermutationMove:

@@ -17,10 +17,7 @@ from isf import (
     Forest, IntPoly, MultiPoly, OrderedGraph, Permutation, a_poly,
     broken_circuits, enumerate_if, spanning_forests,
 )
-from isf.chromatic import (
-    BrokenCircuitConvention, MovableSearchReport, WhitneyReport,
-    apply_relabeling,
-)
+from isf.chromatic import MovableSearchReport, WhitneyReport, apply_relabeling
 
 
 @contextmanager
@@ -229,6 +226,43 @@ def reference_chromatic_polynomial(g, pivot="first"):
     )
 
 
+def reference_circuits(g):
+    """All circuits of g as edge sets, sorted by (size, edge list).
+
+    For each edge (u, v), every simple path from u to v avoiding that edge
+    closes a circuit; duplicates are removed.  Intended for desk-scale
+    graphs only.
+    """
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    found = set()
+    for u, v in sorted(g.edges):
+        # simple paths u -> v not using edge (u, v)
+        stack = [(u, (u,), frozenset())]
+        while stack:
+            cur, path, used = stack.pop()
+            for w in adj[cur]:
+                if {cur, w} == {u, v}:
+                    continue
+                if w == v:
+                    found.add(used | {(min(cur, w), max(cur, w)), (u, v)})
+                elif w not in path:
+                    stack.append(
+                        (w, path + (w,), used | {(min(cur, w), max(cur, w))})
+                    )
+    return sorted(found, key=lambda c: (len(c), sorted(c)))
+
+
+def reference_broken_circuits(g, convention):
+    """Each circuit of `reference_circuits` minus its least ("min") or
+    greatest ("max") edge, deduplicated and sorted by (size, edge list)."""
+    extremal = {"min": min, "max": max}[convention]
+    out = {c - {extremal(c)} for c in reference_circuits(g)}
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+
 def is_nbc(g, f, convention):
     """True iff f contains no broken circuit of g under the convention."""
     return not any(bc <= f.edges for bc in broken_circuits(g, convention))
@@ -245,10 +279,9 @@ def has_perfect_elimination_order(g):
 
 def enumerative_whitney(g, convention):
     """Whitney report by testing every spanning forest against every
-    broken circuit."""
-    convention = BrokenCircuitConvention.parse(convention)
+    broken circuit of the all-paths reference."""
     counts = [0] * (g.n + 1)
-    bcs = broken_circuits(g, convention)
+    bcs = reference_broken_circuits(g, convention)
     for f in spanning_forests(g):
         if not any(bc <= f.edges for bc in bcs):
             counts[f.component_count()] += 1

@@ -27,8 +27,9 @@ from isf.cli import main
 from conftest import (
     acyclic_subsets, all_edge_subsets, band_graph, enumerative_counts,
     enumerative_whitney, has_perfect_elimination_order, is_connected, is_nbc,
-    orient_goodvertex, per_edge_movable_search, petersen_graph,
-    reference_chromatic_polynomial, time_limit,
+    orient_goodvertex, per_edge_movable_search, petersen_graph, random_graph,
+    reference_broken_circuits, reference_chromatic_polynomial,
+    reference_circuits, time_limit,
 )
 
 # triangle on {2,3,4} plus the pendant edge (1,4)
@@ -52,12 +53,33 @@ def test_broken_circuits_conventions():
     assert broken_circuits(OrderedGraph(3, frozenset({(1, 2)})), "min") == []
     with pytest.raises(InputError):
         broken_circuits(G33, "median")
-    # unhashable values are unknown conventions too, not a TypeError
-    for bad in (["min"], {}, None):
+    # unhashable values are unknown conventions too, not a TypeError; the
+    # CLI's choices are the only names
+    for bad in (["min"], {}, None, "remove_min"):
         with pytest.raises(InputError, match="unknown convention"):
             broken_circuits(K3, bad)
         with pytest.raises(InputError, match="unknown convention"):
             whitney_check(G33, bad)
+
+
+def test_circuits_match_all_paths_reference(graphs_on_5):
+    # each circuit is found once, from its omitted edge; the reference
+    # finds it once per edge and deduplicates
+    rng = Random(23)
+    sample = [random_graph(rng, n) for n in (6, 7, 8) for _ in range(20)]
+    for g in [*graphs_on_5, *sample]:
+        assert circuits(g) == reference_circuits(g), g
+        for convention in ("min", "max"):
+            assert broken_circuits(g, convention) == (
+                reference_broken_circuits(g, convention)
+            ), (g, convention)
+
+
+@pytest.mark.parametrize("convention", ["min", "max"])
+def test_broken_circuits_on_long_path_search_no_edge(convention):
+    # no edge of a tree closes a circuit, so no path search starts
+    with time_limit(1.0):
+        assert broken_circuits(_path(1500), convention) == []
 
 
 def test_good_vertex_examples():
@@ -198,7 +220,8 @@ def _whitney_without(monkeypatch, names, message):
 
 
 def test_whitney_lists_no_circuit(monkeypatch):
-    _whitney_without(monkeypatch, ["circuits", "broken_circuits"],
+    _whitney_without(monkeypatch,
+                     ["circuits", "broken_circuits", "_circuit_paths"],
                      "whitney_check listed circuits")
 
 

@@ -171,21 +171,30 @@ def _path_json(n):
     return json.dumps({"n": n, "edges": [[i, i + 1] for i in range(1, n)]})
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["stirling", "row", "--n", "1000"], {}),
+# seconds: the launcher kills the command after this long, so a
+# super-linear regression on the newer cases fails instead of stalling
+@pytest.mark.parametrize("argv, files, seconds", [
+    (["stirling", "row", "--n", "1000"], {}, 300),
     (["stirling", "psi", "--sigma", "sigma.json", "--tau", "tau.json"], {
         "sigma.json": _cycles_json(1000, [[1, *range(1000, 1, -1)]]),
         "tau.json": _cycles_json(1000, [range(1, 1001, 2), range(2, 1001, 2)]),
-    }),
+    }, 300),
     (["check", "whitney", "--graph", "path.json"], {
-        "path.json": _path_json(3000)}),
-], ids=["stirling-row", "stirling-psi", "check-whitney"])
-def test_polynomial_inputs_stay_under_60_mb(argv, files, tmp_path):
+        "path.json": _path_json(3000)}, 300),
+    (["nbc", "--graph", "path.json", "--convention", "min"], {
+        "path.json": _path_json(3000)}, 10),
+    (["nbc", "--graph", "path.json", "--convention", "max"], {
+        "path.json": _path_json(3000)}, 10),
+    (["stirling", "to-forest", "--perm", "perm.json"], {
+        "perm.json": _cycles_json(60_000, [[1, *range(60_000, 1, -1)]])}, 10),
+], ids=["stirling-row", "stirling-psi", "check-whitney", "nbc-min", "nbc-max",
+        "stirling-to-forest"])
+def test_polynomial_inputs_stay_under_60_mb(argv, files, seconds, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "stdout.json"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", LAUNCHER, str(out), "300",
+        [sys.executable, "-S", "-c", LAUNCHER, str(out), str(seconds),
          "-m", "isf.cli", *argv],
         cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=600,
         check=True,

@@ -20,7 +20,7 @@ from isf import (
 )
 from conftest import (
     brute_force_cycle_counts, enumerative_counts, identity_permutation,
-    permutation_from_word,
+    permutation_from_word, time_limit,
 )
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
@@ -83,6 +83,17 @@ def test_round_trip_both_ways(n):
     for word in iter_permutations(range(1, n + 1)):
         p = permutation_from_word(word)
         assert forest_to_permutation(permutation_to_forest(p)) == p
+
+
+def test_long_cycle_maps_to_a_forest_in_one_pass():
+    # in [1, n, n - 1, ..., 2] each element's nearest smaller one on its
+    # left is 1, the farthest back a backward scan can look
+    n = 40_000
+    p = Permutation(n, ((1, *range(n, 1, -1)),))
+    with time_limit(2):
+        f = permutation_to_forest(p)
+        assert forest_to_permutation(f) == p
+    assert f.parent == (0, 0, *[1] * (n - 1))
 
 
 def test_stirling_rows():
