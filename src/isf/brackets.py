@@ -51,6 +51,8 @@ def _as_ground(ground) -> tuple:
     members = ground if type(ground) is frozenset else frozenset(elems)
     if len(members) != len(elems):
         raise NotASubset(f"ground set has repeated elements: {ground!r}")
+    if not all(type(v) is int for v in elems):  # as members, True == 1.0 == 1
+        raise NotASubset(f"ground set has non-integer elements: {ground!r}")
     return elems, members
 
 
@@ -65,7 +67,7 @@ def _as_set(subset) -> frozenset:
 
 def _check_subset(ground: tuple, members, subset) -> frozenset:
     sub = _as_set(subset)
-    if not sub <= members:
+    if not sub <= members or not all(type(v) is int for v in sub):
         raise NotASubset(f"{sorted(sub)} is not a subset of {list(ground)}")
     return sub
 

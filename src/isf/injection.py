@@ -10,16 +10,17 @@ so tests and the CLI can expose each step.
 
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
-B[j] = A[j].  psi checks its bookkeeping on these two vectors and builds
-no Forest; all else it needs of an input forest is cached on it.  Its
-root checks read a vector and build no root set: the zeros past index 0
-are exactly the expected minima (vertices in 1..n) iff index 0 is 0,
-every expected position is 0 and there are |expected| + 1 zeros.  j
-depends only on (m(A), m(B)), so phi's memo (see brackets) answers most
-pairs; psi memoises nothing and calls its successor once per pair.
-verify_psi checks locality on the vectors, and weight only where locality
-fails: a local move turns (A[j], B[j]) = (i, 0) into (0, i) and keeps
-every other coordinate.
+B[j] = A[j].  So A's half of the move (e, A', its bookkeeping) depends on
+(A, j) alone and B's half on (B, e) alone: psi works each out once and
+memoises it on its forest (_cuts by j, _joins by e), beside the graph
+object the forest last passed psi's input checks in; another graph object
+checks it again and empties both memos.  A failed check stores nothing.
+j depends only on (m(A), m(B)), so phi's memo (see brackets) answers
+most pairs, but psi still calls its successor once per pair.  psi builds
+no Forest.  verify_psi checks locality on the vectors, and weight only
+where locality fails: a local move turns (A[j], B[j]) = (i, 0) into
+(0, i) and keeps every other coordinate.  Its images share the memoised
+output vectors.
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ from .brackets import phi
 from .errors import InvariantViolation, NotIncreasing, SizeViolation
 from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph
 from .enumeration import enumerate_if
-
-
-def _select(only_a: frozenset, sym_diff: frozenset, successor) -> int:
-    added = successor(sym_diff, only_a) - only_a
-    if len(added) != 1:
-        raise InvariantViolation(
-            f"successor added {sorted(added)}, not exactly one element"
-        )
-    (j,) = added
-    return j
 
 
 class PsiTrace(Record):
@@ -72,49 +63,67 @@ def _fail(claim: str):
     raise InvariantViolation(f"psi bookkeeping failed: {claim}")
 
 
-def _check_roots(parent: tuple, expected: frozenset, claim: str) -> None:
-    # the zero entries past index 0 must be exactly the expected positions
-    if parent[0] or parent.count(0) != len(expected) + 1:
-        _fail(claim)
-    for v in expected:
-        if parent[v]:
-            _fail(claim)
+def _cut(a: Forest, j: int) -> tuple:
+    """A's half of the move at j, memoised in a._cuts by j: (e, A', A's
+    component of j, i0), with e = (A[j], j) and A' = A with [j] set to 0."""
+    pa = a.parent
+    e = (pa[j], j)
+    if e not in a.edges:
+        _fail("e in A and e not in B")
+    a_out = pa[:j] + (0,) + pa[j + 1:]
+    if {v for v, p in enumerate(a_out) if not p} != {0, j, *a.minima}:
+        _fail("m(A') = m(A) + j")
+    a_comp = a.components[j]
+    a._cuts[j] = half = (e, a_out, a_comp, min(a_comp))
+    return half
+
+
+def _join(b: Forest, e: tuple) -> tuple:
+    """B's half of the move of e = (i, j), memoised in b._joins by e:
+    (B', B's component of j), with B' = B with [j] set to i."""
+    i, j = e
+    b_comp = b.components[j]
+    if j != min(b_comp):
+        _fail("j = min of its component in B")
+    if e in b.edges:
+        _fail("e in A and e not in B")
+    pb = b.parent
+    b_out = pb[:j] + (i,) + pb[j + 1:]
+    if {v for v, p in enumerate(b_out) if not p} != {0, *b.minima} - {j}:
+        _fail("m(B') = m(B) - j")
+    b._joins[e] = half = (b_out, b_comp)
+    return half
 
 
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
     """Move one edge of A to B; requires components(A) < components(B)."""
-    _check_forest_in_graph(g, a, "forest A")
-    if not a.increasing:
-        raise NotIncreasing("forest A is not increasing")
-    _check_forest_in_graph(g, b, "forest B")
-    if not b.increasing:
-        raise NotIncreasing("forest B is not increasing")
+    for f, label in (a, "forest A"), (b, "forest B"):
+        if vars(f).get("_in_graph") is not g:
+            _check_forest_in_graph(g, f, label)
+            if not f.increasing:
+                raise NotIncreasing(f"{label} is not increasing")
+            vars(f).update(_in_graph=g, _cuts={}, _joins={})
     m_a, m_b = a.minima, b.minima
     if len(m_a) >= len(m_b):
         raise SizeViolation(
             f"need components(A) < components(B), got {len(m_a)} >= {len(m_b)}"
         )
-    sym_diff = m_a ^ m_b
-    j = _select(m_a - m_b, sym_diff, successor)
+    sym_diff, only_a = m_a ^ m_b, m_a - m_b
+    added = successor(sym_diff, only_a) - only_a
+    if len(added) != 1:
+        raise InvariantViolation(
+            f"successor added {sorted(added)}, not exactly one element"
+        )
+    (j,) = added
     # bookkeeping the injectivity proof relies on; cheap, so always checked
     if j not in m_b or j in m_a:
         _fail("j in m(B) - m(A)")
-    pa, pb = a.parent, b.parent
-    a_comp, b_comp = a.components[j], b.components[j]
-    e = (pa[j], j)
-    # the swap B[j] = A[j], A[j] = 0; both outputs stay increasing vectors
-    a_out = pa[:j] + (0,) + pa[j + 1:]
-    b_out = pb[:j] + (pa[j],) + pb[j + 1:]
-    if j != min(b_comp):
-        _fail("j = min of its component in B")
-    if e not in a.edges or e in b.edges:
-        _fail("e in A and e not in B")
-    _check_roots(a_out, m_a | {j}, "m(A') = m(A) + j")
-    _check_roots(b_out, m_b - {j}, "m(B') = m(B) - j")
+    e, a_out, a_comp, i0 = a._cuts.get(j) or _cut(a, j)
+    b_out, b_comp = b._joins.get(e) or _join(b, e)
     tr = object.__new__(PsiTrace)  # frozen: fill __dict__, skip __init__
     tr.__dict__.update(
         mA=m_a, mB=m_b, sym_diff=sym_diff, j=j, A_comp=a_comp, B_comp=b_comp,
-        i0=min(a_comp), e=e, A_out_parent=a_out, B_out_parent=b_out,
+        i0=i0, e=e, A_out_parent=a_out, B_out_parent=b_out,
     )
     return tr
 

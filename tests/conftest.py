@@ -22,10 +22,12 @@ from isf.chromatic import MovableSearchReport, WhitneyReport, apply_relabeling
 
 @contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the block once it has run for seconds, so a
-    regression to a hang fails instead of stalling the suite."""
+    """Fail the test once the block has run for seconds, so a regression
+    to a hang fails instead of stalling the suite.  The failure carries no
+    traceback: rendering one from inside the interrupted frame can crash
+    pytest with an INTERNALERROR."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:

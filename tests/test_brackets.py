@@ -54,6 +54,25 @@ def test_frozenset_and_list_callers_agree(fn):
         fn([1, 2, 3, 4, 5], [1, 1])
 
 
+@pytest.mark.parametrize("fn", [phi, phi_inverse, phi_reversed])
+def test_non_int_elements_are_refused(fn):
+    # True == 1 and 2.0 == 2 as set members, so only a type test tells them
+    # apart; subset_pair_map and Forest refuse them the same way
+    for subset in ([True], [2.0], [2, True], [False]):
+        with pytest.raises(NotASubset, match="is not a subset of"):
+            fn([1, 2, 3, 4, 5], subset)
+        with pytest.raises(NotASubset, match="is not a subset of"):
+            fn(frozenset({1, 2, 3, 4, 5}), subset)
+    for ground in ([1.0, 2, 3], [True, 2, 3], {1, 2.0, 3}, [1, 2, 3.5]):
+        with pytest.raises(NotASubset, match="^ground set has non-integer"):
+            fn(ground, [3])
+    # frozenset pairs are checked only when phi's memo misses: the memo
+    # keys {1, 2.0, 3} and {1, 2, 3} alike
+    _phi.cache_clear()
+    with pytest.raises(NotASubset, match="^ground set has non-integer"):
+        phi(frozenset({1, 2.0, 3}), frozenset({3}))
+
+
 def _valid_pairs_on_8():
     # every (Y, X): Y a subset of {1..8}, X a subset of Y with |X| < |Y|/2
     for m in range(9):

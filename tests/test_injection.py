@@ -178,6 +178,71 @@ def test_verify_psi_calls_psi_and_successor_once_per_pair(monkeypatch):
             assert verify_psi(k5, k, l).injective
 
 
+def test_psi_works_out_each_half_once_per_key(monkeypatch):
+    # A's half of a move depends on (A, j) alone and B's on (B, e), so each
+    # is filled once per key; each forest is checked against g once per
+    # verify_psi call (every graph below is a new object)
+    inj = isf.injection
+    real_psi, real_check = inj.psi, inj._check_forest_in_graph
+    fills, keys, checked = {"A": [], "B": []}, {"A": set(), "B": set()}, []
+
+    def recording_psi(g, a, b, successor=phi):
+        tr = real_psi(g, a, b, successor=successor)
+        keys["A"].add((a, tr.j))
+        keys["B"].add((b, tr.e))
+        return tr
+
+    def counting(side, half):
+        def fill(f, key):
+            fills[side].append((f, key))
+            return half(f, key)
+        return fill
+
+    def counting_check(g, f, label):
+        checked.append(f)
+        return real_check(g, f, label)
+
+    monkeypatch.setattr(inj, "psi", recording_psi)
+    monkeypatch.setattr(inj, "_cut", counting("A", inj._cut))
+    monkeypatch.setattr(inj, "_join", counting("B", inj._join))
+    monkeypatch.setattr(inj, "_check_forest_in_graph", counting_check)
+    seeded = (0, 1, 1, 2, 2, 2, 2, 2)
+    jobs = [(lambda: complete_graph(5), k, l)
+            for k in range(5) for l in range(k + 1, 6)]
+    jobs.append((lambda: _lower_degree_graph(seeded, 12), 1, 3))
+    for new_graph, k, l in jobs:
+        for record in (*fills.values(), *keys.values(), checked):
+            record.clear()
+        rep = verify_psi(new_graph(), k, l)
+        assert rep.injective and rep.local and rep.weight_preserving
+        for side in "AB":
+            assert len(fills[side]) == len(keys[side]), (side, k, l)
+            assert set(fills[side]) == keys[side], (side, k, l)
+        paired = {a for a, _ in keys["A"]} | {b for b, _ in keys["B"]}
+        assert len(checked) == len(paired) and set(checked) == paired, (k, l)
+    assert rep.total_pairs == 32 * 272
+    # the seeded job: 192 A fills and 512 B fills for its 8,704 pairs
+    assert (len(fills["A"]), len(fills["B"])) == (192, 512)
+
+
+def test_forest_that_passed_is_checked_in_each_new_graph():
+    a = Forest(3, frozenset({(1, 2), (1, 3)}))
+    b = Forest(3, frozenset({(1, 3)}))
+    path_a = Forest(3, frozenset({(1, 2), (2, 3)}))
+    assert psi(K3, a, Forest(3)).j == 3 and psi(K3, path_a, b).j == 2
+    lacks_13 = OrderedGraph(3, frozenset({(1, 2), (2, 3)}))
+    with pytest.raises(NotInGraph, match=re.escape(
+            "forest A uses non-graph edges [(1, 3)]")):
+        psi(lacks_13, a, Forest(3))
+    with pytest.raises(NotInGraph, match=re.escape(
+            "forest B uses non-graph edges [(1, 3)]")):
+        psi(lacks_13, path_a, b)
+    with pytest.raises(NotInGraph, match="forest A has n=3, graph has n=4"):
+        psi(K4, a, Forest(3))
+    # an equal graph that is another object checks again, and passes
+    assert psi(complete_graph(3), a, Forest(3)).j == 3
+
+
 def test_phi_memo_misses_at_most_once_per_minima_pair():
     # psi's j depends on (m(A), m(B)) only through (D, X) = (m(A) ^ m(B),
     # m(A) - m(B)), so phi's memo computes each such pair at most once
@@ -466,6 +531,26 @@ def test_each_bookkeeping_check_fires(claim, b_edges, a_cache, b_cache):
     vars(b).update(b_cache)
     with pytest.raises(InvariantViolation, match=re.escape(claim)):
         psi(K3, a, b)
+
+
+@pytest.mark.parametrize("claim, b_edges, a_cache, b_cache", [
+    ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (0, 0, 0, 1)}, {}),
+    ("j = min of its component in B", (), {},
+     {"components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}),
+    ("e in A and e not in B", ((1, 3),), {},
+     {"parent": (0, 0, 0, 0), "minima": frozenset({1, 2, 3})}),
+    ("m(B') = m(B) - j", (), {},
+     {"parent": (0, 0, 1, 0), "minima": frozenset({1, 2, 3})}),
+])
+def test_failed_half_is_not_memoised(claim, b_edges, a_cache, b_cache):
+    # planted bad rooted data fails the same way on every call
+    a = Forest(3, frozenset({(1, 2), (1, 3)}))
+    b = Forest(3, frozenset(b_edges))
+    vars(a).update(a_cache)
+    vars(b).update(b_cache)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match=re.escape(claim)):
+            psi(K3, a, b)
 
 
 def test_invariant_violation_survives_optimize_flag():
