@@ -37,34 +37,34 @@ from .polynomials import MultiPoly, NonnegReport, TPoly
 def _forests_by_components(g: OrderedGraph) -> dict:
     """All increasing spanning forests of g, grouped by component count.
 
-    Each group is sorted on its sorted edge lists.  The small cache spares
-    `enumerate_if`/`a_poly` calls for several k on one graph a second pass.
+    Each group is in build order: only `enumerate_if` sorts its group.  The
+    small cache spares calls for several k on one graph a second pass.
     """
     n = g.n
-    choices = [
-        [None] + [(i, j) for i in g.smaller_neighbors(j)] for j in range(1, n + 1)
-    ]
+    choices = [[None] + [(i, j) for i in g.smaller_neighbors(j)]
+               for j in range(1, n + 1)]
     groups: dict = {k: [] for k in range(n + 1)}
     for picks in product(*choices):
         edges = tuple(filter(None, picks))
         groups[n - len(edges)].append(Forest(n, edges))
-    return {
-        k: tuple(sorted(fs, key=Forest.sort_key)) for k, fs in groups.items()
-    }
+    return groups
+
+
+def _forests(g: OrderedGraph, k: int) -> list:
+    """The k-component group of g, in build order; k is checked."""
+    if not 0 <= k <= g.n:
+        raise InputError(f"need 0 <= k <= n={g.n}, got k={k}")
+    return _forests_by_components(g)[k]
 
 
 def enumerate_if(g: OrderedGraph, k: int) -> list:
     """Increasing spanning forests of g with exactly k components."""
-    if not 0 <= k <= g.n:
-        raise InputError(f"need 0 <= k <= n={g.n}, got k={k}")
-    return list(_forests_by_components(g)[k])
+    return sorted(_forests(g, k), key=Forest.sort_key)
 
 
 def a_poly(g: OrderedGraph, k: int) -> MultiPoly:
     """Generating polynomial of the k-component increasing forests."""
-    if not 0 <= k <= g.n:
-        raise InputError(f"need 0 <= k <= n={g.n}, got k={k}")
-    return MultiPoly({f.sort_key(): 1 for f in _forests_by_components(g)[k]})
+    return MultiPoly({f.sort_key(): 1 for f in _forests(g, k)})
 
 
 def isf_counts(g: OrderedGraph) -> tuple:

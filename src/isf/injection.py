@@ -19,14 +19,13 @@ j depends only on (m(A), m(B)), so phi's memo (see brackets) answers
 most pairs, but psi still calls its successor once per pair.  psi builds
 no Forest.  verify_psi checks locality on the vectors, and weight only
 where locality fails: a local move turns (A[j], B[j]) = (i, 0) into
-(0, i) and keeps every other coordinate.  Its images share the memoised
-output vectors.
+(0, i) and keeps every other coordinate.  Its `images` dict maps each
+image to its first A; a collision replays that A's row for its first pair.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from operator import add, mul
 
 from .brackets import phi
@@ -144,27 +143,38 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
     """Exhaustively apply psi to IF_k x IF_l and check all its contracts."""
     if not 0 <= k < l <= g.n:
         raise SizeViolation(f"need 0 <= k < l <= n={g.n}, got k={k}, l={l}")
-    images: dict = {}
-    collisions = []
+    images: dict = {}  # each image -> the A of its first preimage
+    later = []  # (image, its first A, pair) for each image seen before
     local = weight_preserving = True
     forests_k, forests_l = enumerate_if(g, k), enumerate_if(g, l)
-    for a, b in product(forests_k, forests_l):
-        tr = psi(g, a, b, successor=successor)
-        pa, pb = a.parent, b.parent
-        key = a_out, b_out = tr.A_out_parent, tr.B_out_parent
-        # local: A' is A less its edge e = (i, j), and B' is B plus e
-        i, j = tr.e
-        if not (0 < i < j and pa[j] == i and not pb[j]
-                and a_out == pa[:j] + (0,) + pa[j + 1:]
-                and b_out == pb[:j] + (i,) + pb[j + 1:]):
-            local = False
-            # weight: {A[v], B[v]} = {A'[v], B'[v]}, by sums and products
-            if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
-                    or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
-                weight_preserving = False
-        if key in images:
-            collisions.append([images[key], (a, b)])
+    for a in forests_k:
+        pa = a.parent
+        for b in forests_l:
+            tr = psi(g, a, b, successor=successor)
+            pb = b.parent
+            key = a_out, b_out = tr.A_out_parent, tr.B_out_parent
+            # local: A' is A less its edge e = (i, j), and B' is B plus e
+            i, j = tr.e
+            if not (0 < i < j and pa[j] == i and not pb[j]
+                    and a_out == pa[:j] + (0,) + pa[j + 1:]
+                    and b_out == pb[:j] + (i,) + pb[j + 1:]):
+                local = False
+                # weight: {A[v], B[v]} = {A'[v], B'[v]}, by sums and products
+                if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
+                        or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
+                    weight_preserving = False
+            if key in images:
+                later.append((key, images[key], (a, b)))
+            else:
+                images[key] = a
+    collisions = []
+    for key, a, pair in later:  # the first preimage: first hit in A's row
+        for b in forests_l:
+            tr = psi(g, a, b, successor=successor)
+            if (tr.A_out_parent, tr.B_out_parent) == key:
+                break
         else:
-            images[key] = (a, b)
+            raise InvariantViolation(f"replaying A's row missed image {key}")
+        collisions.append([(a, b), pair])
     total = len(forests_k) * len(forests_l)
     return PsiReport(total, not collisions, local, weight_preserving, collisions)

@@ -58,6 +58,35 @@ def test_enumerate_rejects_bad_k():
         enumerate_if(K3, -1)
 
 
+def test_a_poly_rejects_bad_k():
+    for k in 4, -1:
+        with pytest.raises(InputError, match=f"need 0 <= k <= n=3, got k={k}"):
+            a_poly(K3, k)
+
+
+def test_only_enumerate_if_sorts_its_group(monkeypatch):
+    # the cached groups keep build order: enumerate_if sorts the one group
+    # it returns, and a_poly only reads each forest's key for its monomial
+    real_key, keyed = Forest.sort_key, []
+
+    def counting_key(f):
+        keyed.append(f)
+        return real_key(f)
+
+    monkeypatch.setattr(Forest, "sort_key", counting_key)
+    k6 = complete_graph(6)
+    _forests_by_components.cache_clear()
+    forests = enumerate_if(k6, 2)
+    assert len(keyed) == len(forests) == 274
+    assert [f.sorted_edges for f in forests] == sorted(
+        f.sorted_edges for f in forests)
+    keyed.clear()
+    _forests_by_components.cache_clear()
+    tpoly = isf_tpoly(k6)
+    assert len(keyed) == 720
+    assert tpoly.coeffs[2] == MultiPoly({tuple(f.edges): 1 for f in forests})
+
+
 def test_enumeration_matches_brute_force_oracle():
     for g in all_edge_subsets(4):
         for k in range(g.n + 1):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -381,6 +382,46 @@ def test_collision_report_is_pinned():
     assert rep.local and rep.weight_preserving
     want = (GOLDEN / "verify-psi-k4-k2-l3-collisions.json").read_text()
     assert json.dumps(rep.to_json(), sort_keys=True) + "\n" == want
+
+
+def test_collision_replay_that_misses_raises(monkeypatch):
+    # images keeps only each image's first A, so a collision's first pair is
+    # rebuilt after the loop by replaying that A's row; a psi that answers
+    # differently from then on leaves the image unfound
+    rep = verify_psi(K4, 2, 3, successor=_max_outside)
+    first_a, first_b = rep.collisions[0][0]
+    tr = psi(K4, first_a, first_b, successor=_max_outside)
+    image = (tr.A_out_parent, tr.B_out_parent)
+    total = len(enumerate_if(K4, 2)) * len(enumerate_if(K4, 3))
+    real, calls = isf.injection.psi, [0]
+
+    def changing_psi(g, a, b, successor=phi):
+        calls[0] += 1
+        tr = real(g, a, b, successor=successor)
+        # A' with A's component count matches no image of IF_2 x IF_3
+        return tr if calls[0] <= total else replace(tr, A_out_parent=a.parent)
+
+    monkeypatch.setattr(isf.injection, "psi", changing_psi)
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"replaying A's row missed image {image}")):
+        verify_psi(K4, 2, 3, successor=_max_outside)
+    assert calls[0] == total + len(enumerate_if(K4, 3))
+
+
+def test_verify_psi_keeps_one_forest_per_image():
+    # images maps each image to its first A, not to the pair (A, B); after a
+    # warm-up call has filled the forests' halves and phi's memo, a second
+    # call's peak is mostly that dict and its keys (about 108 B per pair)
+    k6 = complete_graph(6)
+    verify_psi(k6, 2, 4)
+    tracemalloc.start()
+    try:
+        rep = verify_psi(k6, 2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.injective and rep.total_pairs == 23290
+    assert peak < 3.6e6
 
 
 def _set_at(tr, v, a_v, b_v, **changes):
