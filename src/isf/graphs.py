@@ -251,13 +251,18 @@ class Forest(OrderedGraph):
     @cached_property
     def components(self) -> tuple:
         """components[v] is the vertex set of v's component; index 0 is empty."""
-        root = list(range(self.n + 1))
+        parent, root = self.parent, [0] * (self.n + 1)  # 0: not known yet
+        members = {0: []}  # root -> its component; 0 -> the empty set
         for v in range(1, self.n + 1):
-            while self.parent[root[v]]:
-                root[v] = self.parent[root[v]]
-        sets = {r: frozenset(v for v, rv in enumerate(root) if rv == r)
-                for r in self.minima}
-        return tuple(sets.get(r, frozenset()) for r in root)
+            u = v  # walk up to a root or to a vertex whose root is known
+            while not root[u] and parent[u]:
+                u = parent[u]
+            r, u = root[u] or u, v
+            while u and not root[u]:  # then label the walked path
+                root[u], u = r, parent[u]
+            members.setdefault(r, []).append(v)
+        sets = {r: frozenset(vs) for r, vs in members.items()}
+        return tuple([sets[r] for r in root])
 
     def component_count(self) -> int:
         return self.n - len(self._sorted_edges)

@@ -12,15 +12,16 @@ On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
 B[j] = A[j].  So A's half of the move (e, A', its bookkeeping) depends on
 (A, j) alone and B's half on (B, e) alone: psi works each out once and
-memoises it on its forest (_cuts by j, _joins by e), beside the graph
-object the forest last passed psi's input checks in; another graph object
+memoises it on its forest (_cuts by j, _joins by e), beside _in_graph, the
+graph object it last passed psi's input checks in; another graph object
 checks it again and empties both memos.  A failed check stores nothing.
-j depends only on (m(A), m(B)), so phi's memo (see brackets) answers
-most pairs, but psi still calls its successor once per pair.  psi builds
-no Forest.  verify_psi checks locality on the vectors, and weight only
-where locality fails: a local move turns (A[j], B[j]) = (i, 0) into
-(0, i) and keeps every other coordinate.  Its `images` dict maps each
-image to its first A; a collision replays that A's row for its first pair.
+j depends only on (m(A), m(B)), so phi's memo (see brackets) answers most
+pairs, but psi still calls its successor once per pair.  psi builds no
+Forest.  verify_psi checks on the vectors that A' is A less e, expected
+once per (A, e) in A's row, and then that B' is B plus e, once per (B, e);
+weight only where that fails, as a local move turns (A[j], B[j]) = (i, 0)
+into (0, i).  `images` maps each image to its first A; a collision replays
+that A's row for its first pair.
 """
 
 from __future__ import annotations
@@ -94,14 +95,24 @@ def _join(b: Forest, e: tuple) -> tuple:
     return half
 
 
-def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
-    """Move one edge of A to B; requires components(A) < components(B)."""
+def _admit(g: OrderedGraph, a: Forest, b: Forest) -> None:
+    """Check each forest not marked as checked in g, A first; mark it."""
     for f, label in (a, "forest A"), (b, "forest B"):
-        if vars(f).get("_in_graph") is not g:
+        if getattr(f, "_in_graph", None) is not g:
             _check_forest_in_graph(g, f, label)
             if not f.increasing:
                 raise NotIncreasing(f"{label} is not increasing")
             vars(f).update(_in_graph=g, _cuts={}, _joins={})
+
+
+def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
+    """Move one edge of A to B; requires components(A) < components(B)."""
+    try:
+        checked = a._in_graph is g and b._in_graph is g
+    except AttributeError:  # a forest psi has not checked yet
+        checked = False
+    if not checked:
+        _admit(g, a, b)
     m_a, m_b = a.minima, b.minima
     if len(m_a) >= len(m_b):
         raise SizeViolation(
@@ -119,11 +130,11 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
         _fail("j in m(B) - m(A)")
     e, a_out, a_comp, i0 = a._cuts.get(j) or _cut(a, j)
     b_out, b_comp = b._joins.get(e) or _join(b, e)
-    tr = object.__new__(PsiTrace)  # frozen: fill __dict__, skip __init__
-    tr.__dict__.update(
-        mA=m_a, mB=m_b, sym_diff=sym_diff, j=j, A_comp=a_comp, B_comp=b_comp,
-        i0=i0, e=e, A_out_parent=a_out, B_out_parent=b_out,
-    )
+    tr = object.__new__(PsiTrace)  # frozen: bind __dict__, skip __init__
+    object.__setattr__(tr, "__dict__", {
+        "mA": m_a, "mB": m_b, "sym_diff": sym_diff, "j": j, "A_comp": a_comp,
+        "B_comp": b_comp, "i0": i0, "e": e, "A_out_parent": a_out,
+        "B_out_parent": b_out})
     return tr
 
 
@@ -147,17 +158,21 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
     later = []  # (image, its first A, pair) for each image seen before
     local = weight_preserving = True
     forests_k, forests_l = enumerate_if(g, k), enumerate_if(g, l)
+    column = [(b, b.parent, {}) for b in forests_l]  # {e: B plus e} per B
     for a in forests_k:
         pa = a.parent
-        for b in forests_l:
+        cuts = {}  # {e: A less e}, for A's row
+        for b, pb, joins in column:
             tr = psi(g, a, b, successor=successor)
-            pb = b.parent
             key = a_out, b_out = tr.A_out_parent, tr.B_out_parent
-            # local: A' is A less its edge e = (i, j), and B' is B plus e
-            i, j = tr.e
-            if not (0 < i < j and pa[j] == i and not pb[j]
-                    and a_out == pa[:j] + (0,) + pa[j + 1:]
+            i, j = e = tr.e
+            if (cut := cuts.get(e)) is None and 0 < i < j and pa[j] == i:
+                cut = cuts[e] = pa[:j] + (0,) + pa[j + 1:]
+            join = cut is not None and a_out == cut and joins.get(e)
+            if (join is None and not pb[j]
                     and b_out == pb[:j] + (i,) + pb[j + 1:]):
+                join = joins[e] = b_out  # psi's own vector, once it matched
+            if not join or b_out != join:
                 local = False
                 # weight: {A[v], B[v]} = {A'[v], B'[v]}, by sums and products
                 if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))

@@ -125,6 +125,26 @@ def reference_component(f, v):
     return frozenset(seen)
 
 
+def union_find_components(n, edges):
+    """components[v] is the vertex set of v's component among 1..n, joined
+    by union-find over the edge pairs; index 0 is empty."""
+    leader = list(range(n + 1))
+
+    def find(v):
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
+        return v
+
+    for i, j in edges:
+        leader[find(i)] = find(j)
+    groups = {}
+    for v in range(1, n + 1):
+        groups.setdefault(find(v), set()).add(v)
+    return (frozenset(),) + tuple(frozenset(groups[find(v)])
+                                  for v in range(1, n + 1))
+
+
 def reference_parent(f):
     """Parent vector with every component rooted at its minimum (0 = root).
 

@@ -15,7 +15,7 @@ from isf import (
 from isf.enumeration import _forests_by_components
 from conftest import (
     acyclic_subsets, random_graph, reference_branch, reference_circuit_edge,
-    reference_component, reference_parent,
+    reference_component, reference_parent, time_limit, union_find_components,
 )
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
@@ -239,6 +239,39 @@ def test_cached_rooted_data_matches_bfs_reference_on_k5():
         for v in range(1, 6):
             assert f.components[v] == reference_component(f, v), (f.edges, v)
         assert {"minima", "increasing", "components"} <= set(vars(f))
+
+
+def _random_forest(rng, n):
+    """A forest on 1..n: each vertex of a random order joins a random
+    earlier one, or no one, so most of these are not increasing."""
+    order = rng.sample(range(1, n + 1), n)
+    edges = {tuple(sorted((v, rng.choice(order[:t]))))
+             for t, v in enumerate(order) if t and rng.random() < 0.8}
+    return Forest(n, edges)
+
+
+def test_components_match_union_find_oracle():
+    rng = Random(2026)
+    forests = [_random_forest(rng, rng.randint(0, 12)) for _ in range(300)]
+    forests += [
+        Forest.from_parent([0, *(rng.randrange(v) for v in range(1, n + 1))])
+        for n in range(13) for _ in range(10)]
+    assert {f.increasing for f in forests} == {True, False}
+    for f in forests:
+        assert f.components == union_find_components(f.n, f.edges), f
+
+
+def test_components_are_linear_in_n():
+    # a long path is the deepest rooted tree, and n singletons the most
+    # components; walking each vertex to its root, or scanning all
+    # vertices once per component, takes many seconds on either
+    n = 20000
+    with time_limit(1):
+        path = Forest(n, [(v, v + 1) for v in range(1, n)]).components
+        singletons = Forest(n).components
+    assert path[0] == singletons[0] == frozenset()
+    assert path[1] is path[n] and path[1] == frozenset(range(1, n + 1))
+    assert all(singletons[v] == {v} for v in range(1, n + 1))
 
 
 def test_parent_is_lazy_and_outside_equality():

@@ -495,6 +495,66 @@ def test_vector_verdicts_match_edge_sets():
     assert seen == {(True, True), (False, True), (False, False)}
 
 
+def _pair_breaks(forests_k, forests_l, traces):
+    """Ways to break a few of psi's traces on IF_k x IF_l, each a dict
+    pair -> broken trace.  A row's pair is broken after its j, and so its
+    e, came up earlier in the row; a column's after its j came up with
+    another e earlier in the column."""
+    for a in forests_k:  # the last pair whose j >= 3 came up in its row
+        js = set()
+        for b in forests_l:
+            if traces[a, b].j in js and traces[a, b].j >= 3:
+                row_pair = a, b
+            js.add(traces[a, b].j)
+    for b in forests_l:  # the last pair whose j came with another e
+        es = {}
+        for a in forests_k:
+            i, j = traces[a, b].e
+            if es.setdefault(j, i) != i:
+                column_pair, earlier_i = (a, b), es[j]
+    column, moved = column_pair[1], traces[column_pair]
+    tr, (pa, pb) = traces[row_pair], (f.parent for f in row_pair)
+    other_i = min({1, 2} - {tr.e[0]})  # another edge into j, not A's
+    unmoved = replace(tr, A_out_parent=pa, B_out_parent=pb)
+    return {
+        "one pair of a row, unmoved": {row_pair: unmoved},
+        "one pair of a row, B' left as B": {
+            row_pair: replace(tr, B_out_parent=pb)},
+        "one B in every row, unmoved": {
+            (x, column): replace(traces[x, column], A_out_parent=x.parent,
+                                 B_out_parent=column.parent)
+            for x in forests_k},
+        "one B in every row, B' left as B": {
+            (x, column): replace(traces[x, column], B_out_parent=column.parent)
+            for x in forests_k},
+        "another e on a j repeated in its row": {
+            row_pair: _set_at(tr, tr.j, 0, other_i, e=(other_i, tr.j))},
+        "an earlier row's e in B' on a j repeated in its column": {
+            column_pair: _set_at(moved, moved.j, 0, earlier_i)},
+    }
+
+
+@pytest.mark.parametrize("g, k, l", [(K4, 1, 2), (complete_graph(5), 2, 3)])
+def test_verdicts_over_many_pairs_are_each_pairs_own(monkeypatch, g, k, l):
+    # verify_psi works out A's expected output once per (A, e) along a row
+    # and B's once per (B, e) down a column; with a few pairs broken, its
+    # verdicts must still be the AND of every pair's own
+    forests_k, forests_l = enumerate_if(g, k), enumerate_if(g, l)
+    traces = {(a, b): psi(g, a, b) for a in forests_k for b in forests_l}
+    seen = set()
+    for name, broken in _pair_breaks(forests_k, forests_l, traces).items():
+        answers = {**traces, **broken}
+        monkeypatch.setattr(isf.injection, "psi",
+                            lambda g, a, b, successor: answers[a, b])
+        verdicts = [edge_set_verdicts(a, b, tr)
+                    for (a, b), tr in answers.items()]
+        want = tuple(all(v) for v in zip(*verdicts))
+        rep = verify_psi(g, k, l)
+        assert (rep.local, rep.weight_preserving) == want, name
+        seen.add(want)
+    assert seen == {(False, True), (False, False)}
+
+
 @pytest.mark.parametrize("break_trace, verdict", [
     (lambda a, b, tr: _set_at(tr, a.n, tr.B_out_parent[a.n],
                               tr.A_out_parent[a.n]), (False, True)),
