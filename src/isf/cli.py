@@ -45,6 +45,8 @@ from .stirling import (
 )
 
 OK, PROPERTY_FAILURE, USAGE_ERROR = 0, 1, 2
+_SLICE = 256  # items of a long list per encoder call in `_pieces`
+_TEXT = object()  # marks a `_pieces` stack entry that is text alone
 
 
 def _load_json(path: str) -> dict:
@@ -250,23 +252,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _to_json(obj):
-    """`json.dumps` hook: a `to_json` value lives only while it is written."""
+    """Encoder hook: a record inside a piece is written by its `to_json`."""
     if hasattr(obj, "to_json"):
         return obj.to_json()
     return json.JSONEncoder().default(obj)  # raises the encoder's TypeError
 
 
+def _pieces(report) -> list:
+    """The text of `json.dumps(report, sort_keys=True, default=_to_json)`
+    in pieces. A dict with only `str` keys, a record's `to_json` value too,
+    is opened key by key; a list of over `_SLICE` items is encoded a slice
+    of `_SLICE` items per call, one piece each; any other value is one
+    piece. So the encoder holds one slice's tokens, never the report's.
+    Its circular-reference markers would cost an id insert and delete per
+    container and check nothing: payloads are trees of fresh containers."""
+    encode = json.JSONEncoder(sort_keys=True, default=_to_json,
+                              check_circular=False).encode
+    pieces, todo = [], [("", report)]  # todo: (text, value after it), last first
+    while todo:
+        text, obj = todo.pop()
+        pieces.append(text)
+        if obj is _TEXT:
+            continue
+        obj = obj.to_json() if hasattr(obj, "to_json") else obj
+        if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+            pieces.append("{")
+            todo.append(("}", _TEXT))
+            todo += [((", " if n else "") + encode(key) + ": ", obj[key])
+                     for n, key in reversed(list(enumerate(sorted(obj))))]
+        elif isinstance(obj, list) and len(obj) > _SLICE:
+            for start in range(0, len(obj), _SLICE):  # a slice's text less "[]"
+                pieces += (", " if start else "[",
+                           encode(obj[start:start + _SLICE])[1:-1])
+            pieces.append("]")
+        else:
+            pieces.append(encode(obj))
+    return pieces
+
+
 def _emit(command: str, ok: bool, payload, diagnostics) -> None:
+    """Print the report once fully encoded, so an encoding error prints nothing."""
     report = {"command": command, "ok": ok, "payload": payload,
               "diagnostics": diagnostics}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact results may exceed it; input keeps it
     try:
-        text = json.dumps(report, sort_keys=True, default=_to_json)
+        pieces = _pieces(report)
     finally:
         sys.set_int_max_str_digits(limit)
     try:
-        print(text, flush=True)
+        print(*pieces, sep="", flush=True)
     except BrokenPipeError:  # the reader left; spare the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 

@@ -180,6 +180,12 @@ def reference_branch(parent, w):
     return frozenset(out)
 
 
+def max_outside(ground, subset):
+    """A successor that is not injective: it always adds the largest element
+    outside the subset, so verify_psi finds collisions."""
+    return frozenset(subset) | {max(frozenset(ground) - frozenset(subset))}
+
+
 def edge_set_psi(a, b, successor):
     """The edge-moving map computed on edge sets, as a dict of trace fields.
 

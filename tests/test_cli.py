@@ -1,14 +1,19 @@
 import contextlib
 import io
 import json
+import os
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isf import Forest, stirling_row
+from isf import (
+    Forest, complete_graph, enumerate_if, isf_tpoly, stirling_row, verify_psi,
+)
 import isf.enumeration
-from isf.cli import _emit, main
+from isf.cli import _SLICE, _emit, _to_json, main
+from conftest import max_outside
 
 
 @pytest.fixture
@@ -331,6 +336,71 @@ def test_emit_encodes_only_objects_with_to_json(capsys):
     message = "^Object of type object is not JSON serializable$"
     with pytest.raises(TypeError, match=message):
         _emit("enumerate", True, {"forests": [object()]}, [])
+    assert sys.get_int_max_str_digits() == previous
+    assert capsys.readouterr().out == ""
+
+
+def _one_shot(payload) -> str:
+    report = {"command": "enumerate", "ok": True, "payload": payload,
+              "diagnostics": []}
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(report, sort_keys=True, default=_to_json) + "\n"
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _k8_forests():
+    # enumerate's largest perfbench report: 13,068 forests, 52 slices
+    return enumerate_if(complete_graph(8), 2)
+
+
+PAYLOADS = {
+    **{f"list-{n}": lambda n=n: {"forests": [
+        Forest(2, [(1, 2)]) if i % 2 else i for i in range(n)]}
+       for n in (0, 1, _SLICE, _SLICE + 1, 2 * _SLICE, 2 * _SLICE + 1)},
+    "empty-containers": lambda: {"a": {}, "b": [], "c": [{}, [[]], {"d": {}}]},
+    # sort_keys orders int keys as ints (2 before 10), then writes them as str
+    "int-keys": lambda: {"counts": {10: "ten", 2: [{3: {}}]}},
+    "k8-c2": lambda: {"forests": _k8_forests()},
+    "tpoly-k6": lambda: {"tpoly": isf_tpoly(complete_graph(6))},
+    "stirling-row-1700": lambda: stirling_row(1700),
+    # six collisions, pinned in test_injection
+    "psi-collisions": lambda: {"report": verify_psi(
+        complete_graph(4), 2, 3, successor=max_outside)},
+}
+
+
+@pytest.mark.parametrize("name", PAYLOADS)
+def test_sliced_report_is_the_one_shot_text(name, capsys):
+    payload = PAYLOADS[name]()
+    _emit("enumerate", True, payload, [])
+    assert capsys.readouterr().out == _one_shot(payload)
+
+
+def test_emit_peak_memory_is_under_twice_the_reports_length():
+    # the encoder holds one slice's tokens at a time; one json.dumps of the
+    # whole report peaked at 2.0x (CPython 3.12, 3.13) to 3.7x (3.10, 3.11)
+    payload = {"forests": _k8_forests()}
+    length = len(_one_shot(payload))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _emit("enumerate", True, payload, [])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.8 * length, f"peak {peak / length:.2f}x the report's length"
+
+
+def test_encoding_error_in_a_late_slice_prints_nothing(capsys):
+    forests = [Forest(2, [(1, 2)])] * (2 * _SLICE) + [object()]
+    previous = sys.get_int_max_str_digits()
+    message = "^Object of type object is not JSON serializable$"
+    with pytest.raises(TypeError, match=message):
+        _emit("enumerate", True, {"forests": forests}, [])
     assert sys.get_int_max_str_digits() == previous
     assert capsys.readouterr().out == ""
 

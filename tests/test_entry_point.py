@@ -79,10 +79,18 @@ def test_malformed_input_through_the_process_entry_point(tmp_path):
     assert report["payload"] is None and report["diagnostics"]
 
 
-def test_reader_closing_stdout_early_is_a_quiet_exit():
-    # the report is megabytes long, so writing it outlasts the pipe buffer
+@pytest.mark.parametrize("argv, files", [
+    (["stirling", "row", "--n", "1500"], {}),
+    # 13,068 forests, encoded a slice at a time before the first write
+    (["enumerate", "--graph", "k8.json", "--components", "2"],
+     {"k8.json": json.dumps(isf.complete_graph(8).to_json())}),
+], ids=["stirling-row", "enumerate-k8-c2"])
+def test_reader_closing_stdout_early_is_a_quiet_exit(argv, files, tmp_path):
+    # the report is far longer than the pipe buffer, so writing it outlasts it
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "isf.cli", "stirling", "row", "--n", "1500"],
+        [sys.executable, "-m", "isf.cli", *argv], cwd=tmp_path,
         env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.read(10) == b'{"command"'

@@ -27,7 +27,7 @@ from isf import (
 )
 from isf.brackets import _phi
 from conftest import (
-    all_edge_subsets, edge_set_psi, edge_set_verdicts, random_graph,
+    all_edge_subsets, edge_set_psi, edge_set_verdicts, max_outside, random_graph,
     reference_parent,
 )
 
@@ -370,14 +370,9 @@ def test_psi_matches_edge_set_oracle(successor):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _max_outside(ground, subset):
-    # not injective: always adds the largest element outside the subset
-    return frozenset(subset) | {max(frozenset(ground) - frozenset(subset))}
-
-
 def test_collision_report_is_pinned():
     # recorded from verify_psi when it still built and compared edge sets
-    rep = verify_psi(K4, 2, 3, successor=_max_outside)
+    rep = verify_psi(K4, 2, 3, successor=max_outside)
     assert not rep.injective and len(rep.collisions) == 6
     assert rep.local and rep.weight_preserving
     want = (GOLDEN / "verify-psi-k4-k2-l3-collisions.json").read_text()
@@ -388,9 +383,9 @@ def test_collision_replay_that_misses_raises(monkeypatch):
     # images keeps only each image's first A, so a collision's first pair is
     # rebuilt after the loop by replaying that A's row; a psi that answers
     # differently from then on leaves the image unfound
-    rep = verify_psi(K4, 2, 3, successor=_max_outside)
+    rep = verify_psi(K4, 2, 3, successor=max_outside)
     first_a, first_b = rep.collisions[0][0]
-    tr = psi(K4, first_a, first_b, successor=_max_outside)
+    tr = psi(K4, first_a, first_b, successor=max_outside)
     image = (tr.A_out_parent, tr.B_out_parent)
     total = len(enumerate_if(K4, 2)) * len(enumerate_if(K4, 3))
     real, calls = isf.injection.psi, [0]
@@ -404,7 +399,7 @@ def test_collision_replay_that_misses_raises(monkeypatch):
     monkeypatch.setattr(isf.injection, "psi", changing_psi)
     with pytest.raises(InvariantViolation, match=re.escape(
             f"replaying A's row missed image {image}")):
-        verify_psi(K4, 2, 3, successor=_max_outside)
+        verify_psi(K4, 2, 3, successor=max_outside)
     assert calls[0] == total + len(enumerate_if(K4, 3))
 
 
