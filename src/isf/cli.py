@@ -11,11 +11,11 @@ invocations produce byte-identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .brackets import phi, phi_inverse, subset_pair_map
 from .chromatic import (
@@ -114,11 +114,11 @@ def _cmd_verify(args):
 
 
 def _cmd_stirling(args):
-    if args.stirling_cmd == "row":
+    if args.words[1] == "row":
         return OK, stirling_row(args.n)
-    if args.stirling_cmd == "to-perm":
+    if args.words[1] == "to-perm":
         return OK, {"perm": forest_to_permutation(_forest(args.forest))}
-    if args.stirling_cmd == "to-forest":
+    if args.words[1] == "to-forest":
         perm = Permutation.from_json(_load_json(args.perm))
         return OK, {"forest": permutation_to_forest(perm)}
     sigma = Permutation.from_json(_load_json(args.sigma))
@@ -147,108 +147,105 @@ def _cmd_search_movable(args):
 
 def _cmd_check(args):
     g = _graph(args.graph)
-    if args.check_cmd == "factorization":
+    if args.words[1] == "factorization":
         rep = isf_factorization_check(g)
         return (OK if rep.equal else PROPERTY_FAILURE), rep
-    if args.check_cmd == "logconcavity":
+    if args.words[1] == "logconcavity":
         return OK, strong_logconcavity_check(g, args.p, args.q)
-    if args.check_cmd == "whitney":
+    if args.words[1] == "whitney":
         rep = whitney_check(g, args.convention)
         return (OK if rep.equal else PROPERTY_FAILURE), rep
     return OK, peo_isf_check(g)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isf",
-        description="Increasing spanning forests: enumeration, injections, checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
 
-    p = sub.add_parser("enumerate", help="increasing forests with k components")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--components", type=int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("poly", help="forest generating polynomial(s)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=_cmd_poly)
+def _opt(name, kind=str, default=_REQUIRED, choices=()):
+    """Option `--name` of a command form; kind str, int, or bool (a flag)."""
+    return name, kind, default, choices
 
-    p = sub.add_parser("phi", help="subset injection by bracket matching")
-    p.add_argument("--ground", required=True)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--invert", action="store_true")
-    p.set_defaults(func=_cmd_phi)
 
-    p = sub.add_parser("subset-map", help="pair map on subsets of [n]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=_cmd_subset_map)
+_GRAPH, _MIN_MAX = _opt("graph"), ("min", "max")
+# The CLI's one grammar: command words -> (handler, options), in help order.
+_COMMANDS = {
+    ("enumerate",): (_cmd_enumerate, (_GRAPH, _opt("components", int))),
+    ("poly",): (_cmd_poly, (_GRAPH, _opt("k", int, None))),
+    ("phi",): (_cmd_phi, (_opt("ground"), _opt("subset"),
+                          _opt("invert", bool, False))),
+    ("subset-map",): (_cmd_subset_map, (_opt("n", int), _opt("x"), _opt("y"))),
+    ("psi",): (_cmd_psi, (_GRAPH, _opt("forest-a"), _opt("forest-b"))),
+    ("verify", "psi"): (_cmd_verify, (_GRAPH, _opt("k", int), _opt("l", int))),
+    ("stirling", "row"): (_cmd_stirling, (_opt("n", int),)),
+    ("stirling", "to-perm"): (_cmd_stirling, (_opt("forest"),)),
+    ("stirling", "to-forest"): (_cmd_stirling, (_opt("perm"),)),
+    ("stirling", "psi"): (_cmd_stirling, (_opt("sigma"), _opt("tau"))),
+    ("chromatic",): (_cmd_chromatic, (_GRAPH,)),
+    ("nbc",): (_cmd_nbc, (_GRAPH, _opt("convention", str, _REQUIRED, _MIN_MAX))),
+    ("admissible",): (_cmd_admissible, (_GRAPH, _opt("forest"))),
+    ("search-movable",): (_cmd_search_movable, (_GRAPH, _opt("relabel", str, None))),
+    ("check", "factorization"): (_cmd_check, (_GRAPH,)),
+    ("check", "logconcavity"): (_cmd_check, (_GRAPH, _opt("p", int), _opt("q", int))),
+    ("check", "whitney"): (_cmd_check,
+                           (_GRAPH, _opt("convention", str, "min", _MIN_MAX))),
+    ("check", "peo"): (_cmd_check, (_GRAPH,)),
+}
 
-    p = sub.add_parser("psi", help="move one edge between two forests")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--forest-a", required=True)
-    p.add_argument("--forest-b", required=True)
-    p.set_defaults(func=_cmd_psi)
 
-    p = sub.add_parser("verify", help="exhaustive verification")
-    vsub = p.add_subparsers(dest="verify_cmd", required=True)
-    vp = vsub.add_parser("psi")
-    vp.add_argument("--graph", required=True)
-    vp.add_argument("--k", type=int, required=True)
-    vp.add_argument("--l", type=int, required=True)
-    vp.set_defaults(func=_cmd_verify)
+def _usage(words) -> str:
+    """One usage line per command form that starts with `words`."""
+    lines = []
+    for form, (_, options) in _COMMANDS.items():
+        if form[:len(words)] == words:
+            parts = ["isf", *form]
+            for name, kind, default, choices in options:
+                part = f"--{name}" if kind is bool else f"--{name} " + (
+                    "{" + ",".join(choices) + "}" if choices else name.upper())
+                parts.append(part if default is _REQUIRED else f"[{part}]")
+            lines.append(" ".join(parts))
+    return "usage: " + "\n       ".join(lines)
 
-    p = sub.add_parser("stirling", help="forest/permutation bridge")
-    ssub = p.add_subparsers(dest="stirling_cmd", required=True)
-    sp = ssub.add_parser("row")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=_cmd_stirling)
-    sp = ssub.add_parser("to-perm")
-    sp.add_argument("--forest", required=True)
-    sp.set_defaults(func=_cmd_stirling)
-    sp = ssub.add_parser("to-forest")
-    sp.add_argument("--perm", required=True)
-    sp.set_defaults(func=_cmd_stirling)
-    sp = ssub.add_parser("psi")
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--tau", required=True)
-    sp.set_defaults(func=_cmd_stirling)
 
-    p = sub.add_parser("chromatic", help="chromatic polynomial")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_chromatic)
-
-    p = sub.add_parser("nbc", help="broken circuits")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--convention", choices=["min", "max"], required=True)
-    p.set_defaults(func=_cmd_nbc)
-
-    p = sub.add_parser("admissible", help="good-vertex admissibility")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--forest", required=True)
-    p.set_defaults(func=_cmd_admissible)
-
-    p = sub.add_parser("search-movable", help="movable-edge existence search")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--relabel")
-    p.set_defaults(func=_cmd_search_movable)
-
-    p = sub.add_parser("check", help="identity and property checks")
-    csub = p.add_subparsers(dest="check_cmd", required=True)
-    for name in ("factorization", "logconcavity", "whitney", "peo"):
-        cp = csub.add_parser(name)
-        cp.add_argument("--graph", required=True)
-        if name == "logconcavity":
-            cp.add_argument("--p", type=int, required=True)
-            cp.add_argument("--q", type=int, required=True)
-        if name == "whitney":
-            cp.add_argument("--convention", choices=["min", "max"], default="min")
-        cp.set_defaults(func=_cmd_check)
-
-    return parser
+def _parse(argv):
+    """(command words, namespace, None) for argv read against `_COMMANDS`;
+    (words, None, None) for -h or --help; (words, None, reason) if malformed.
+    As in argparse, a value may start with `-` only if it is `-` or a
+    negative integer, and a unique prefix of an option's name will do."""
+    argv, words = list(argv), ()
+    while words not in _COMMANDS and argv and not argv[0].startswith("-"):
+        words += (argv.pop(0),)
+        if not any(form[:len(words)] == words for form in _COMMANDS):
+            return words[:-1], None, f"invalid command word {words[-1]!r}"
+    if "-h" in argv or "--help" in argv:
+        return words, None, None
+    if words not in _COMMANDS:
+        return words, None, "missing a command word"
+    options = _COMMANDS[words][1]
+    values = {name: default for name, _, default, _ in options}
+    while argv:
+        token = argv.pop(0)
+        key, has_value, value = token[2:].partition("=")
+        found = [opt for opt in options if opt[0] == key] or [
+            opt for opt in options if opt[0].startswith(key)]
+        if not token.startswith("--") or not key or len(found) != 1:
+            return words, None, f"unrecognized or ambiguous option {token!r}"
+        name, kind, _, choices = found[0]
+        if kind is not bool and not has_value:
+            if not argv or argv[0].startswith("-") and argv[0] != "-" and not (
+                    argv[0][1:].isdecimal()):
+                return words, None, f"--{name} expects a value"
+            value = argv.pop(0)
+        if kind is bool and has_value or choices and value not in choices:
+            return words, None, f"--{name}: invalid value {value!r}"
+        try:
+            values[name] = True if kind is bool else kind(value)
+        except ValueError:
+            return words, None, f"--{name}: invalid int value {value!r}"
+    missing = [f"--{name}" for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        return words, None, f"missing required options {', '.join(missing)}"
+    return words, SimpleNamespace(words=words, **{
+        name.replace("-", "_"): value for name, value in values.items()}), None
 
 
 def _to_json(obj):
@@ -262,8 +259,9 @@ def _pieces(report) -> list:
     """The text of `json.dumps(report, sort_keys=True, default=_to_json)`
     in pieces. A dict with only `str` keys, a record's `to_json` value too,
     is opened key by key; a list of over `_SLICE` items is encoded a slice
-    of `_SLICE` items per call, one piece each; any other value is one
-    piece. So the encoder holds one slice's tokens, never the report's.
+    of `_SLICE` items per call, one piece each, and a shorter one holding a
+    record item by item (so a `TPoly`'s polynomials are opened); any other
+    value is one piece. So the encoder holds one slice's tokens at a time.
     Its circular-reference markers would cost an id insert and delete per
     container and check nothing: payloads are trees of fresh containers."""
     encode = json.JSONEncoder(sort_keys=True, default=_to_json,
@@ -285,6 +283,10 @@ def _pieces(report) -> list:
                 pieces += (", " if start else "[",
                            encode(obj[start:start + _SLICE])[1:-1])
             pieces.append("]")
+        elif isinstance(obj, list) and any(hasattr(x, "to_json") for x in obj):
+            pieces.append("[")
+            todo.append(("]", _TEXT))
+            todo += reversed([(", " if n else "", x) for n, x in enumerate(obj)])
         else:
             pieces.append(encode(obj))
     return pieces
@@ -307,21 +309,18 @@ def _emit(command: str, ok: bool, payload, diagnostics) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    words, args, reason = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:  # help to stdout; a usage error to stderr, no report
+        print(_usage(words), file=sys.stderr if reason else sys.stdout)
+        if reason:
+            print(f"isf: error: {reason}", file=sys.stderr)
+        return USAGE_ERROR if reason else OK
+    command = words[0]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage to stderr
-        return USAGE_ERROR if exc.code else OK
-    command = args.command
-    try:
-        status, payload = args.func(args)
-    except InputError as exc:
+        status, payload = _COMMANDS[words][0](args)
+    except (InputError, InvariantViolation) as exc:
         _emit(command, False, None, [str(exc)])
-        return USAGE_ERROR
-    except InvariantViolation as exc:
-        _emit(command, False, None, [str(exc)])
-        return PROPERTY_FAILURE
+        return USAGE_ERROR if isinstance(exc, InputError) else PROPERTY_FAILURE
     _emit(command, status == OK, payload, [])
     return status
 

@@ -12,8 +12,10 @@ from isf import (
     Forest, complete_graph, enumerate_if, isf_tpoly, stirling_row, verify_psi,
 )
 import isf.enumeration
+from isf import cli
 from isf.cli import _SLICE, _emit, _to_json, main
 from conftest import max_outside
+from test_golden import GOLDEN, _command_forms
 
 
 @pytest.fixture
@@ -270,6 +272,95 @@ def test_global_jobs_and_output_flags_are_gone(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["no-such-command"],
+    ["stirling"],
+    ["stirling", "rows", "--n", "3"],
+    ["--graph", "k3.json", "chromatic"],
+    ["enumerate", "--graph", "k3.json"],
+    ["chromatic", "--graph", "k3.json", "--bogus", "1"],
+    ["chromatic", "--graph", "k3.json", "k3.json"],
+    ["chromatic", "-g", "k3.json"],
+    ["chromatic", "--", "--graph", "k3.json"],
+    ["psi", "--graph", "k3.json", "--forest", "a.json"],
+    ["chromatic", "--graph"],
+    ["enumerate", "--graph", "--components", "1"],
+    ["subset-map", "--n", "4", "--x", "1", "--y", "-1,2"],
+    ["subset-map", "--n", "-x", "--x", "1", "--y", "2"],
+    ["enumerate", "--graph", "k3.json", "--components", "two"],
+    ["enumerate", "--graph", "k3.json", "--components=1.0"],
+    ["nbc", "--graph", "k3.json", "--convention", "mid"],
+    ["check", "whitney", "--graph", "k3.json", "--convention=MIN"],
+    ["phi", "--ground", "1,2", "--subset", "1", "--invert=yes"],
+], ids=["no-command", "unknown-word", "missing-word", "unknown-subword",
+        "option-before-command", "missing-option", "unknown-option",
+        "extra-argument", "single-dash", "double-dash", "ambiguous-prefix",
+        "no-value-at-end", "no-value-before-option", "dash-value",
+        "dash-int-value", "bad-int", "float-int", "bad-choice",
+        "choice-case", "flag-with-value"])
+def test_malformed_command_line_prints_usage_and_no_report(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()[0], err.splitlines()[-1]
+    assert usage.startswith("usage: isf") and error.startswith("isf: error: ")
+
+
+@pytest.mark.parametrize("case, argv", [
+    ("enumerate-k4-c2", "enumerate --comp 2 --graph k4.json"),
+    ("enumerate-k4-c2", "enumerate --graph=k4.json --components=2"),
+    ("enumerate-k4-c2", "enumerate --graph k6.json --components 3 "
+                        "--components 2 --graph k4.json"),
+    ("check-whitney-petersen-max", "check whitney --g=petersen.json --conv max"),
+    ("psi-k3-path", "psi --graph k3.json --forest-b empty3.json "
+                    "--forest-a=k3-path.json"),
+    ("phi-invert-6", "phi --inv --ground 1,2,3,4,5,6 --sub 2,4,5"),
+    ("stirling-row-8", "stirling row --n 1 --n=8"),
+], ids=["prefix", "equals", "repeated", "prefix-equals", "equals-forest-a",
+        "flag-prefix", "repeated-equals"])
+def test_option_spellings_print_the_canonical_stdout(capsys, monkeypatch, case,
+                                                     argv):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == (
+        GOLDEN / f"{case}.stdout").read_bytes()
+
+
+def test_negative_integer_and_dash_are_values(capsys, monkeypatch):
+    # a negative int is read as the option's value, so the handler rejects it
+    monkeypatch.chdir(GOLDEN)
+    status, rep = run(capsys, "poly", "--graph", "k3.json", "--k", "-1")
+    assert status == 2 and rep["diagnostics"] == ["need 0 <= k <= n=3, got k=-1"]
+    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "k4.json").read_text()))
+    assert main(["enumerate", "--components", "2", "--graph", "-"]) == 0
+    assert capsys.readouterr().out.encode() == (
+        GOLDEN / "enumerate-k4-c2.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("argv, forms", [
+    (["-h"], _command_forms()),
+    (["--help", "enumerate"], _command_forms()),
+    (["check", "-h"], [f for f in _command_forms() if f[0] == "check"]),
+    (["check", "whitney", "-h"], [("check", "whitney")]),
+    (["check", "whitney", "--graph", "k3.json", "--help"], [("check", "whitney")]),
+    (["enumerate", "--components", "-h"], [("enumerate",)]),
+], ids=["top", "top-long", "check", "check-whitney", "check-whitney-long",
+        "as-a-value"])
+def test_help_lists_one_usage_line_per_form_under_the_words(capsys, argv, forms):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: ") and len(lines) == len(forms)
+    listed = [tuple(line.split("isf ", 1)[1].split(" --")[0].split()) for line in lines]
+    assert listed == forms
+
+
+def test_the_argparse_parser_is_gone():
+    assert not hasattr(cli, "build_parser")
+
+
 def test_deterministic_output(capsys, k3):
     main(["poly", "--graph", k3])
     first = capsys.readouterr().out
@@ -364,6 +455,8 @@ PAYLOADS = {
     # sort_keys orders int keys as ints (2 before 10), then writes them as str
     "int-keys": lambda: {"counts": {10: "ten", 2: [{3: {}}]}},
     "k8-c2": lambda: {"forests": _k8_forests()},
+    "records-3": lambda: {"forests": [
+        Forest(2, [(1, 2)]), Forest(3, [(1, 3), (2, 3)]), Forest(1, [])]},
     "tpoly-k6": lambda: {"tpoly": isf_tpoly(complete_graph(6))},
     "stirling-row-1700": lambda: stirling_row(1700),
     # six collisions, pinned in test_injection
@@ -379,10 +472,9 @@ def test_sliced_report_is_the_one_shot_text(name, capsys):
     assert capsys.readouterr().out == _one_shot(payload)
 
 
-def test_emit_peak_memory_is_under_twice_the_reports_length():
-    # the encoder holds one slice's tokens at a time; one json.dumps of the
-    # whole report peaked at 2.0x (CPython 3.12, 3.13) to 3.7x (3.10, 3.11)
-    payload = {"forests": _k8_forests()}
+def _emit_peak(payload) -> float:
+    """tracemalloc peak of `_emit(payload)` over its start, as a multiple of
+    the report's length."""
     length = len(_one_shot(payload))
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
@@ -392,7 +484,21 @@ def test_emit_peak_memory_is_under_twice_the_reports_length():
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-    assert peak < 1.8 * length, f"peak {peak / length:.2f}x the report's length"
+    return peak / length
+
+
+def test_emit_peak_memory_is_under_twice_the_reports_length():
+    # the encoder holds one slice's tokens at a time; one json.dumps of the
+    # whole report peaked at 2.0x (CPython 3.12, 3.13) to 3.7x (3.10, 3.11)
+    ratio = _emit_peak({"forests": _k8_forests()})
+    assert ratio < 1.8, f"peak {ratio:.2f}x the report's length"
+
+
+def test_tpoly_peak_memory_is_under_eight_times_the_reports_length():
+    # K7's 8 polynomials sit in a list shorter than a slice; opened one by
+    # one, each polynomial's term list is sliced (whole, they peaked at 13.8x)
+    ratio = _emit_peak({"tpoly": isf_tpoly(complete_graph(7))})
+    assert ratio < 8, f"peak {ratio:.2f}x the report's length"
 
 
 def test_encoding_error_in_a_late_slice_prints_nothing(capsys):

@@ -47,12 +47,10 @@ def collector_disabled():
 def test_commands_leave_no_cyclic_garbage(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     with collector_disabled():
-        cli.build_parser()
-        parser_garbage = gc.collect()  # argparse's own cycles
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(CASES[case]) == 0
         garbage = gc.collect()
-    assert garbage <= parser_garbage
+    assert garbage == 0
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -116,8 +114,9 @@ def _modules_loaded_by(code: str, names) -> set:
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # each process start pays for what `import isf.cli` imports; these
-    # (and inspect's ast, dis and tokenize) are needed by nothing in isf
-    names = ("dataclasses", "inspect", "typing")
+    # (and inspect's ast, dis and tokenize) are needed by nothing in isf,
+    # and the CLI reads its command line from its own table
+    names = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
     preloaded = _modules_loaded_by("pass", names)
     assert _modules_loaded_by("import isf.cli", names) - preloaded == set()
 
