@@ -12,7 +12,6 @@ from .chromatic import (
     IntPoly,
     broken_circuits,
     chromatic_polynomial,
-    circuits,
     is_admissible_goodvertex,
     movable_edge_search,
     peo_isf_check,

@@ -6,12 +6,13 @@ convention (the classical one) and remove-max disagree on individual
 forests but give the same per-component counts.  A convention is an edge
 order, decreasing for remove-min, in which the omitted edge of a circuit
 comes last: its ends are the first the earlier edges join (Bjorner 1992),
-so each circuit is listed once, as a path that edge closes.  The
-good-vertex predicate is the rooted-forest reformulation of admissibility,
-and is the notion used by the movable-edge search.
+so each circuit is listed once, as a path that edge closes, and a path
+grows only while it can still close.  The good-vertex predicate (read off
+the minima-rooted parent vector) is the rooted-forest form of admissibility
+that the movable-edge search decides once per forest, then works on bitsets.
 
-The hot paths work on raw edge sets and parent vectors; validated graphs
-and forests appear only at their inputs and outputs.  The chromatic
+The hot paths work on raw edge sets, parent vectors and bitsets; validated
+graphs and forests appear only at their inputs and outputs.  The chromatic
 polynomial is a frontier DP over the vertex order (Noble, CPC 1998, for
 bounded tree-width): it reads only adjacency and never recurses.
 Whitney's NBC forests are counted in one pass over the ordered edges, on
@@ -19,8 +20,7 @@ the blocks that the forests so far join among the vertices with a later
 edge, so a state costs the frontier, not n: an edge whose ends are already
 joined is externally active, so those forests hold a broken circuit and
 are dropped, and no circuit is ever listed.  Spanning forests are grown on
-component labels over all vertices.  Admissibility is read off the
-minima-rooted parent vector.
+component labels over all vertices.
 
 Everything here is exact and sized for exhaustive checks on small graphs.
 """
@@ -64,9 +64,9 @@ def _edge_order(g: OrderedGraph, convention) -> list:
 
 
 def _circuit_paths(n: int, order) -> list:
-    """(e, C - e) for each circuit C, e its last edge in order: when the
-    edges before e = (u, v) join u and v, as `_joined` labels tell, each
-    simple u-v path through them is one C - e.  It fixes e: no C repeats."""
+    """C - e for each circuit C, e its last edge in order: each simple u-v
+    path through the edges before e = (u, v) is one, so no C repeats.  A path
+    grows only to a vertex that still reaches v around it (Read-Tarjan)."""
     adj = [[] for _ in range(n + 1)]
     label, found = tuple(range(n + 1)), []
     for e in order:
@@ -77,26 +77,31 @@ def _circuit_paths(n: int, order) -> list:
             stack = [(u,)]  # paths from u, as vertex tuples
             while stack:
                 path = stack.pop()
+                live = _reach(adj, v, path)
                 for w in adj[path[-1]]:
                     if w == v:
                         steps = zip(path, (*path[1:], v))
-                        found.append((e, frozenset((min(s), max(s)) for s in steps)))
-                    elif w not in path:
+                        found.append(frozenset((min(s), max(s)) for s in steps))
+                    elif w in live:
                         stack.append((*path, w))
         adj[u].append(v)
         adj[v].append(u)
     return found
 
 
-def circuits(g: OrderedGraph) -> list:
-    """All circuits of g as edge sets, sorted by (size, edge list)."""
-    found = [path | {e} for e, path in _circuit_paths(g.n, _edge_order(g, "min"))]
-    return sorted(found, key=lambda c: (len(c), sorted(c)))
+def _reach(adj: list, v: int, avoid: tuple) -> set:
+    """The vertices that reach v in adj without entering avoid."""
+    seen, stack = {v, *avoid}, [v]
+    while stack:
+        new = set(adj[stack.pop()]) - seen
+        seen |= new
+        stack += new
+    return seen.difference(avoid)
 
 
 def broken_circuits(g: OrderedGraph, convention) -> list:
     """Each circuit minus its last edge in the convention's order."""
-    found = [path for _, path in _circuit_paths(g.n, _edge_order(g, convention))]
+    found = _circuit_paths(g.n, _edge_order(g, convention))
     return sorted(found, key=lambda c: (len(c), sorted(c)))
 
 
@@ -233,23 +238,19 @@ class MovableSearchReport(Record):
 def apply_relabeling(g: OrderedGraph, perm) -> OrderedGraph:
     """Relabel vertices: perm[v-1] is the new label of vertex v."""
     perm = list(perm)
-    if sorted(perm) != list(range(1, g.n + 1)):
+    if set(map(type, perm)) - {int} or sorted(perm) != list(range(1, g.n + 1)):
         raise InputError(f"relabeling {perm!r} is not a permutation of 1..{g.n}")
-    mapped = frozenset(
-        (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
-        for (i, j) in g.edges
-    )
-    return OrderedGraph(g.n, mapped)
+    return OrderedGraph(g.n, (sorted((perm[i - 1], perm[j - 1])) for i, j in g.edges))
 
 
 def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport:
     """Search every admissible pair (A, B), components(A) < components(B),
     for an edge of A \\ B whose move keeps both forests admissible.
 
-    A - e is a spanning forest of g, and so is B + e when e joins two
-    components of B.  So admissibility is decided once per spanning forest,
-    on its parent vector, and each candidate move is two look-ups.  Pairs
-    are visited, and failures listed, in the sorted order of the forests.
+    Bit b of joinable[e] is set when the b-th admissible B lacks e and B + e
+    is admissible (no key in `good`: e closes a circuit); more[k] holds the
+    B with more than k components.  Each A clears joinable[e] for each e
+    with A - e admissible; its failures are the bits left, lowest first.
     """
     if relabeling is not None:
         g = apply_relabeling(g, relabeling)
@@ -257,23 +258,23 @@ def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport
     forests = spanning_forests(g)
     good = {f.edges: _all_vertices_good(f.parent, nbrs) for f in forests}
     admissible = [f for f in forests if good[f.edges]]
+    joinable, more = dict.fromkeys(g.edges, 0), [0] * (g.n + 1)
+    for bit, b in enumerate(admissible):
+        for e in g.edges - b.edges:
+            if good.get(b.edges | {e}):
+                joinable[e] |= 1 << bit
+        for k in range(b.component_count()):
+            more[k] |= 1 << bit
     failures = []
     for a in admissible:
-        for b in admissible:
-            if a.component_count() >= b.component_count():
-                continue
-            if not _has_movable_edge(a, b, good):
-                failures.append((a, b))
+        left = more[a.component_count()]
+        for e in a.edges:
+            if good[a.edges - {e}]:
+                left &= ~joinable[e]
+        while left:
+            failures.append((a, admissible[(left & -left).bit_length() - 1]))
+            left &= left - 1
     return MovableSearchReport(not failures, failures)
-
-
-def _has_movable_edge(a: Forest, b: Forest, good: dict) -> bool:
-    for e in sorted(a.edges - b.edges):
-        if e[1] in b.components[e[0]]:
-            continue  # adding e to B closes a circuit
-        if good[a.edges - {e}] and good[b.edges | {e}]:
-            return True
-    return False
 
 
 class PeoReport(Record):

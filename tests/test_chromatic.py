@@ -13,7 +13,6 @@ from isf import (
     OrderedGraph,
     broken_circuits,
     chromatic_polynomial,
-    circuits,
     complete_graph,
     is_admissible_goodvertex,
     movable_edge_search,
@@ -41,10 +40,12 @@ C5 = OrderedGraph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}))
 
 
 def test_circuits():
-    assert circuits(G33) == [frozenset({(2, 3), (2, 4), (3, 4)})]
-    assert circuits(K3) == [frozenset({(1, 2), (1, 3), (2, 3)})]
-    assert circuits(OrderedGraph(4, frozenset({(1, 2), (3, 4)}))) == []
-    assert len(circuits(complete_graph(4))) == 7  # four triangles, three 4-cycles
+    # the all-paths oracle behind reference_broken_circuits
+    assert reference_circuits(G33) == [frozenset({(2, 3), (2, 4), (3, 4)})]
+    assert reference_circuits(K3) == [frozenset({(1, 2), (1, 3), (2, 3)})]
+    assert reference_circuits(OrderedGraph(4, frozenset({(1, 2), (3, 4)}))) == []
+    # four triangles, three 4-cycles
+    assert len(reference_circuits(complete_graph(4))) == 7
 
 
 def test_broken_circuits_conventions():
@@ -68,7 +69,6 @@ def test_circuits_match_all_paths_reference(graphs_on_5):
     rng = Random(23)
     sample = [random_graph(rng, n) for n in (6, 7, 8) for _ in range(20)]
     for g in [*graphs_on_5, *sample]:
-        assert circuits(g) == reference_circuits(g), g
         for convention in ("min", "max"):
             assert broken_circuits(g, convention) == (
                 reference_broken_circuits(g, convention)
@@ -80,6 +80,23 @@ def test_broken_circuits_on_long_path_search_no_edge(convention):
     # no edge of a tree closes a circuit, so no path search starts
     with time_limit(1.0):
         assert broken_circuits(_path(1500), convention) == []
+
+
+@pytest.mark.parametrize("convention", ["min", "max"])
+def test_broken_circuits_band_30_2_cost_per_circuit(convention):
+    # a search that explores every simple path, also those that can no
+    # longer close, takes minutes here; band (n, 2) has C(n - 1, 2) circuits
+    g = band_graph(30, 2)
+    with time_limit(1):
+        found = broken_circuits(g, convention)
+    assert len(found) == len(set(found)) == comb(29, 2) == 406
+    extremal = min if convention == "min" else max
+    for path in found:  # a tree with two leaves, closed by its extremal edge
+        Forest(30, path)
+        touched = [v for e in path for v in e]
+        ends = tuple(sorted(v for v in touched if touched.count(v) == 1))
+        assert len(set(touched)) == len(path) + 1 and len(ends) == 2, path
+        assert ends in g.edges and extremal(path | {ends}) == ends, path
 
 
 def test_good_vertex_examples():
@@ -221,7 +238,7 @@ def _whitney_without(monkeypatch, names, message):
 
 def test_whitney_lists_no_circuit(monkeypatch):
     _whitney_without(monkeypatch,
-                     ["circuits", "broken_circuits", "_circuit_paths"],
+                     ["broken_circuits", "_circuit_paths"],
                      "whitney_check listed circuits")
 
 
@@ -292,6 +309,22 @@ def test_movable_search_matches_per_edge_oracle(graphs_on_5):
         assert movable_edge_search(G33, perm) == (
             per_edge_movable_search(G33, perm)
         )
+
+
+def test_movable_search_matches_oracle_on_sparse_6_vertex_graphs():
+    # 822 failures in all: they must come out in the forests' sorted order,
+    # and only for an edge e of A with A - e admissible may B + e serve
+    edges = complete_graph(6).sorted_edges
+    rng = Random(29)
+    for _ in range(12):
+        g = OrderedGraph(6, frozenset(rng.sample(edges, 8)))
+        assert movable_edge_search(g) == per_edge_movable_search(g), g
+
+
+def test_movable_search_k7_is_fast():
+    # 5,040 admissible forests: visiting their 9.3 M pairs takes ~40 s
+    with time_limit(5):
+        assert movable_edge_search(complete_graph(7)).all_pairs_ok
 
 
 def test_whitney_examples():
@@ -370,6 +403,16 @@ def test_movable_edge_search_trees():
 def test_relabeling_rejects_non_permutation():
     with pytest.raises(InputError):
         movable_edge_search(G33, relabeling=[1, 1, 2, 3])
+
+
+@pytest.mark.parametrize("perm", [[True, 2, 3], [1, 2, 3.0], [2.0, 1, 3]])
+@pytest.mark.parametrize("edges", [{(1, 2), (2, 3)}, set()])
+def test_relabeling_rejects_labels_that_are_not_ints(perm, edges):
+    # True == 1 and 3.0 == 3, so they sort like a permutation of 1..3
+    g = OrderedGraph(3, frozenset(edges))
+    for relabel in (apply_relabeling, movable_edge_search):
+        with pytest.raises(InputError, match="is not a permutation of 1..3"):
+            relabel(g, perm)
 
 
 def test_peo_examples():

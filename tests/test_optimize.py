@@ -63,7 +63,7 @@ PUBLIC = [
     "NonCanonicalCycle", "NotASubset", "NotInGraph", "NotInImage",
     "NotIncreasing", "OrderedGraph", "Permutation", "PsiTrace",
     "SizeViolation", "StirlingRow", "TPoly", "a_poly", "brackets",
-    "broken_circuits", "chromatic", "chromatic_polynomial", "circuits",
+    "broken_circuits", "chromatic", "chromatic_polynomial",
     "complete_graph", "enumerate_if", "enumeration", "errors",
     "forest_to_permutation", "graphs", "injection", "is_admissible_goodvertex",
     "isf_counts", "isf_factorization_check", "isf_tpoly",
@@ -88,6 +88,7 @@ REMOVED = [
     ("chromatic", None, "is_nbc"),
     ("polynomials", None, "elementary_symmetric"),
     ("chromatic", None, "BrokenCircuitConvention"),
+    ("chromatic", None, "circuits"),
 ]
 
 
