@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvariantViolation, NotASubset, NotInImage, SizeViolation
+from .errors import (InputError, InvariantViolation, NotASubset, NotInImage,
+                     SizeViolation)
 
 
 def _unmatched(elements: tuple, members) -> tuple:
@@ -141,6 +142,8 @@ def subset_pair_map(n: int, x, y) -> tuple:
     chosen by phi applied to X\\Y inside the symmetric difference.  Sizes
     shift by (+1, -1) and the multiset union of the pair is preserved.
     """
+    if type(n) is not int or n < 0:
+        raise InputError(f"need an int n >= 0, got n={n!r}")
     xs, ys = _in_range(n, x), _in_range(n, y)
     if len(xs) >= len(ys):
         raise SizeViolation(f"need |X| < |Y|, got {len(xs)} >= {len(ys)}")

@@ -8,8 +8,8 @@ order, decreasing for remove-min, in which the omitted edge of a circuit
 comes last: its ends are the first the earlier edges join (Bjorner 1992),
 so each circuit is listed once, as a path that edge closes, and a path
 grows only while it can still close.  The good-vertex predicate (read off
-the minima-rooted parent vector) is the rooted-forest form of admissibility
-that the movable-edge search decides once per forest, then works on bitsets.
+the minima-rooted parent vector) is the rooted-forest form of admissibility;
+the movable-edge search keeps only the admissible forests, then uses bitsets.
 
 The hot paths work on raw edge sets, parent vectors and bitsets; validated
 graphs and forests appear only at their inputs and outputs.  The chromatic
@@ -20,7 +20,7 @@ the blocks that the forests so far join among the vertices with a later
 edge, so a state costs the frontier, not n: an edge whose ends are already
 joined is externally active, so those forests hold a broken circuit and
 are dropped, and no circuit is ever listed.  Spanning forests are grown on
-component labels over all vertices.
+component labels over all vertices, last edge first, so they come out sorted.
 
 Everything here is exact and sized for exhaustive checks on small graphs.
 """
@@ -137,13 +137,14 @@ def _all_vertices_good(parent: tuple, nbrs: list) -> bool:
 
 
 def spanning_forests(g: OrderedGraph) -> list:
-    """All acyclic edge subsets of g, spanning by convention, grown edge
-    by edge with the chosen edges' component labels, as `_joined` keeps them."""
+    """All acyclic edge subsets of g, spanning by convention, in sort_key
+    order: grown last edge first on component labels (`_joined`), each edge's
+    new forests go right after (), ahead of the later edges' own, in order."""
     grown = [((), tuple(range(g.n + 1)))]
-    for e in g.sorted_edges:
-        grown += [(chosen + (e,), joined) for chosen, label in grown
-                  if (joined := _joined(label, *e)) is not None]
-    return sorted((Forest(g.n, c) for c, _ in grown), key=Forest.sort_key)
+    for e in reversed(g.sorted_edges):
+        grown[1:1] = [((e, *chosen), joined) for chosen, label in grown
+                      if (joined := _joined(label, *e)) is not None]
+    return [Forest(g.n, c) for c, _ in grown]
 
 
 @lru_cache(maxsize=64)
@@ -247,21 +248,21 @@ def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport
     """Search every admissible pair (A, B), components(A) < components(B),
     for an edge of A \\ B whose move keeps both forests admissible.
 
-    Bit b of joinable[e] is set when the b-th admissible B lacks e and B + e
-    is admissible (no key in `good`: e closes a circuit); more[k] holds the
-    B with more than k components.  Each A clears joinable[e] for each e
-    with A - e admissible; its failures are the bits left, lowest first.
+    Only admissible forests are kept, and `good` holds their edge sets.  Bit
+    b of joinable[e] marks the b-th, B, if e is not in B and B + e is in
+    `good`; more[k] holds the B with more than k components.  Each A clears
+    joinable[e] if A - e is in `good`; its failures are the bits left, in order.
     """
     if relabeling is not None:
         g = apply_relabeling(g, relabeling)
     nbrs = _neighbor_sets(g)
-    forests = spanning_forests(g)
-    good = {f.edges: _all_vertices_good(f.parent, nbrs) for f in forests}
-    admissible = [f for f in forests if good[f.edges]]
+    admissible = [f for f in spanning_forests(g)
+                  if _all_vertices_good(f.parent, nbrs)]
+    good = {f.edges for f in admissible}
     joinable, more = dict.fromkeys(g.edges, 0), [0] * (g.n + 1)
     for bit, b in enumerate(admissible):
         for e in g.edges - b.edges:
-            if good.get(b.edges | {e}):
+            if b.edges | {e} in good:
                 joinable[e] |= 1 << bit
         for k in range(b.component_count()):
             more[k] |= 1 << bit
@@ -269,7 +270,7 @@ def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport
     for a in admissible:
         left = more[a.component_count()]
         for e in a.edges:
-            if good[a.edges - {e}]:
+            if a.edges - {e} in good:
                 left &= ~joinable[e]
         while left:
             failures.append((a, admissible[(left & -left).bit_length() - 1]))

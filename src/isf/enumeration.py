@@ -52,8 +52,8 @@ def _forests_by_components(g: OrderedGraph) -> dict:
 
 def _forests(g: OrderedGraph, k: int) -> list:
     """The k-component group of g, in build order; k is checked."""
-    if not 0 <= k <= g.n:
-        raise InputError(f"need 0 <= k <= n={g.n}, got k={k}")
+    if type(k) is not int or not 0 <= k <= g.n:
+        raise InputError(f"need 0 <= k <= n={g.n}, got k={k!r}")
     return _forests_by_components(g)[k]
 
 
@@ -118,8 +118,8 @@ def strong_logconcavity_check(g: OrderedGraph, p: int, q: int) -> NonnegReport:
     and each x-coefficient is a positive multiple of its class's.  So the
     result is proved, or a negative class raises InvariantViolation.
     """
-    if not 0 < p <= q < g.n:
-        raise IndexViolation(f"need 0 < p <= q < n={g.n}, got p={p}, q={q}")
+    if {type(p), type(q)} != {int} or not 0 < p <= q < g.n:
+        raise IndexViolation(f"need 0 < p <= q < n={g.n}, got p={p!r}, q={q!r}")
     size = len({j for _, j in g.edges})
     r, s = g.n - p, g.n - q
     for a in range(min(s, size) + 1):

@@ -152,8 +152,8 @@ class PsiReport(Record):
 
 def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
     """Exhaustively apply psi to IF_k x IF_l and check all its contracts."""
-    if not 0 <= k < l <= g.n:
-        raise SizeViolation(f"need 0 <= k < l <= n={g.n}, got k={k}, l={l}")
+    if {type(k), type(l)} != {int} or not 0 <= k < l <= g.n:
+        raise SizeViolation(f"need 0 <= k < l <= n={g.n}, got k={k!r}, l={l!r}")
     images: dict = {}  # each image -> the A of its first preimage
     later = []  # (image, its first A, pair) for each image seen before
     local = weight_preserving = True

@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomials over the integers.
 
-A variable id is either an edge (i, j) or a plain index i; a monomial is a
-tuple of variable ids sorted canonically (degrees > 1 appear as repeats).
+A variable id is an edge (i, j) or a plain index i, one kind per
+polynomial, so ids compare in their natural order; a monomial is a tuple
+of variable ids, sorted (degrees > 1 appear as repeats).
 Coefficients are Python ints, so exactness is never in doubt.  Terms are
 serialized in graded lexicographic order for deterministic output.
 """
@@ -11,17 +12,12 @@ from __future__ import annotations
 from .graphs import Record
 
 
-def _var_key(v) -> tuple:
-    # index variable i sorts as (i,), edge variable (i,j) as (i,j)
-    return (v,) if isinstance(v, int) else tuple(v)
-
-
 def _monomial(vars_iter) -> tuple:
-    return tuple(sorted(vars_iter, key=_var_key))
+    return tuple(sorted(vars_iter))
 
 
 def _mono_key(m: tuple) -> tuple:
-    return (len(m), tuple(_var_key(v) for v in m))
+    return (len(m), m)
 
 
 class NonnegReport(Record):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb
 from random import Random
 
@@ -325,6 +326,19 @@ def test_movable_search_k7_is_fast():
     # 5,040 admissible forests: visiting their 9.3 M pairs takes ~40 s
     with time_limit(5):
         assert movable_edge_search(complete_graph(7)).all_pairs_ok
+
+
+def test_movable_search_k6_keeps_only_admissible_forests():
+    # K6 has 2,932 spanning forests and 720 admissible ones; an edge set
+    # kept for every spanning forest takes the peak to about 3.1 MB
+    tracemalloc.start()
+    try:
+        rep = movable_edge_search(complete_graph(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_pairs_ok
+    assert peak < 2e6
 
 
 def test_whitney_examples():

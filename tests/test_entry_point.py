@@ -87,14 +87,14 @@ def test_reader_closing_stdout_early_is_a_quiet_exit(argv, files, tmp_path):
     # the report is far longer than the pipe buffer, so writing it outlasts it
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "isf.cli", *argv], cwd=tmp_path,
         env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(10) == b'{"command"'
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    ) as proc:  # closes both pipes on the way out, even when a check fails
+        assert proc.stdout.read(10) == b'{"command"'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert stderr == b""
 
 

@@ -11,6 +11,7 @@ from isf import (
     InvariantViolation,
     MultiPoly,
     OrderedGraph,
+    SizeViolation,
     a_poly,
     complete_graph,
     enumerate_if,
@@ -18,6 +19,7 @@ from isf import (
     isf_factorization_check,
     isf_tpoly,
     strong_logconcavity_check,
+    subset_pair_map,
 )
 import isf.graphs
 import isf.enumeration
@@ -62,6 +64,38 @@ def test_a_poly_rejects_bad_k():
     for k in 4, -1:
         with pytest.raises(InputError, match=f"need 0 <= k <= n=3, got k={k}"):
             a_poly(K3, k)
+
+
+NON_INT_INDICES = [
+    (enumerate_if, (K3, True), InputError),
+    (enumerate_if, (K3, 1.0), InputError),
+    (enumerate_if, (K3, 1.5), InputError),
+    (a_poly, (K3, 1.5), InputError),
+    (a_poly, (K3, False), InputError),
+    (verify_psi, (K3, 0.5, 2), SizeViolation),
+    (verify_psi, (K3, False, True), SizeViolation),
+    (verify_psi, (K3, 1, 2.0), SizeViolation),
+    (strong_logconcavity_check, (K3, 1.5, 2), IndexViolation),
+    (strong_logconcavity_check, (K3, True, 2), IndexViolation),
+    (strong_logconcavity_check, (K3, 1, 2.0), IndexViolation),
+    (subset_pair_map, (2.5, [1], [1, 2]), InputError),
+    (subset_pair_map, (True, [], [1]), InputError),
+    (subset_pair_map, (2.0, [], [1]), InputError),
+    (subset_pair_map, (-1, [], [1]), InputError),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, error", NON_INT_INDICES,
+    ids=[f"{f.__name__}{tuple(a for a in args if a is not K3)}"
+         for f, args, _ in NON_INT_INDICES],
+)
+def test_index_arguments_must_be_ints(func, args, error):
+    # True == 1 and 2.0 == 2, so only a type test refuses them; a
+    # non-integral float used to surface as a bare KeyError or TypeError
+    with pytest.raises(error) as caught:
+        func(*args)
+    assert type(caught.value) is error
 
 
 def test_only_enumerate_if_sorts_its_group(monkeypatch):
