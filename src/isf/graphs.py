@@ -3,14 +3,14 @@
 Vertices are the integers 1..n with their natural order.  Edges are stored
 as pairs (i, j) with i < j.  A Forest is an OrderedGraph whose edges hold
 no circuit, so edges are validated, stored and read from and written to
-JSON in one place; the forest adds its cycle scan and its rooted views.
-It is spanning by convention: isolated vertices are singleton components.
-Acyclicity is validated at construction time: an edge set whose larger
-endpoints are all distinct gives each vertex at most one smaller
-neighbour, and a circuit's largest vertex has two, so such a set is a
-forest (an increasing one).  Only when a larger endpoint repeats is the
-sorted edge list scanned, relabeling components as it goes.  Invalid edge
-sets are rejected, never repaired; so is JSON with a repeated edge.
+JSON in one place, in one loop over the edges that also collects their
+larger endpoints.  Distinct ones give each vertex at most one smaller
+neighbour, and a circuit's largest vertex has two, so such an edge set is
+exactly an increasing forest; only a Forest whose larger endpoints repeat
+is scanned for a circuit, relabeling components as it goes.  A forest is
+spanning by convention: isolated vertices are singleton components.
+Invalid edge sets are rejected, never repaired; so is JSON with a repeated
+edge.
 
 Rooting every component at its minimum gives a forest its parent vector
 (0 marks a root), its one rooted form.  A Forest computes it lazily, once,
@@ -51,28 +51,6 @@ def _check_vertex_count(n) -> None:
         raise InputError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise InputError(f"vertex count must be >= 0, got {n}")
-
-
-def _checked_edges(n: int, edges) -> tuple:
-    """edges as a sorted tuple without repeats, each checked to be a pair
-    of ints with 1 <= i < j <= n."""
-    out = set()
-    for e in edges:
-        try:
-            i, j = e
-        except ValueError:
-            raise InputError(f"malformed edge {tuple(e)!r}") from None
-        except TypeError:  # not iterable at all
-            raise InputError(f"malformed edge {e!r}") from None
-        if type(i) is not int or type(j) is not int:
-            raise InputError(f"malformed edge {(i, j)!r}")
-        if not (1 <= i < j <= n):
-            raise InputError(
-                f"edge ({i},{j}) violates 1 <= i < j <= n with n={n}"
-            )
-        # keep a caller's tuple: enumerated forests then share edge objects
-        out.add(e if type(e) is tuple else (i, j))
-    return tuple(sorted(out))
 
 
 class Record:
@@ -120,10 +98,33 @@ class OrderedGraph(Record):
 
     _fields = ("n", "edges")
     _kind = "graph"  # names the value in JSON errors
+    _acyclic = False  # a Forest's edges must also hold no circuit
 
     def __init__(self, n: int, edges=()):
         _check_vertex_count(n)
-        ordered = _checked_edges(n, edges)
+        pairs, larger = set(), set()
+        for e in edges:
+            try:
+                i, j = e
+            except ValueError:
+                raise InputError(f"malformed edge {tuple(e)!r}") from None
+            except TypeError:  # not iterable at all
+                raise InputError(f"malformed edge {e!r}") from None
+            if type(i) is not int or type(j) is not int:
+                raise InputError(f"malformed edge {(i, j)!r}")
+            if not (1 <= i < j <= n):
+                raise InputError(
+                    f"edge ({i},{j}) violates 1 <= i < j <= n with n={n}"
+                )
+            # keep a caller's tuple: enumerated forests then share edge objects
+            pairs.add(e if type(e) is tuple else (i, j))
+            larger.add(j)
+        ordered = tuple(sorted(pairs))
+        if self._acyclic and len(larger) < len(ordered):
+            label = tuple(range(n + 1))
+            for i, j in ordered:
+                if (label := _joined(label, i, j)) is None:
+                    raise CyclicInput(f"edge ({i},{j}) closes a circuit")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_sorted_edges", ordered)
 
@@ -171,16 +172,7 @@ class Forest(OrderedGraph):
     """Acyclic edge set over the ambient vertex set 1..n (spanning)."""
 
     _kind = "forest"
-
-    def __init__(self, n: int, edges=()):
-        super().__init__(n, edges)
-        ordered = self._sorted_edges
-        if len({j for _, j in ordered}) == len(ordered):
-            return
-        label = tuple(range(n + 1))
-        for i, j in ordered:
-            if (label := _joined(label, i, j)) is None:
-                raise CyclicInput(f"edge ({i},{j}) closes a circuit")
+    _acyclic = True
 
     @classmethod
     def from_parent(cls, parent) -> "Forest":

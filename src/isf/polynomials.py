@@ -1,19 +1,27 @@
 """Exact sparse multivariate polynomials over the integers.
 
 A variable id is an edge (i, j) or a plain index i, one kind per
-polynomial, so ids compare in their natural order; a monomial is a tuple
-of variable ids, sorted (degrees > 1 appear as repeats).
+polynomial (InputError otherwise), so ids compare in their natural order;
+a monomial is a tuple of variable ids, sorted (degrees > 1 appear as repeats).
 Coefficients are Python ints, so exactness is never in doubt.  Terms are
 serialized in graded lexicographic order for deterministic output.
 """
 
 from __future__ import annotations
 
+from .errors import InputError
 from .graphs import Record
 
 
 def _monomial(vars_iter) -> tuple:
     return tuple(sorted(vars_iter))
+
+
+def _check_one_kind(monomials) -> None:
+    """Raise InputError if the monomials mix edge and index variables; a
+    built polynomial has one kind, so one nonconstant monomial stands for it."""
+    if len({type(v) for m in monomials for v in m}) > 1:
+        raise InputError("MultiPoly mixes edge and index variables")
 
 
 def _mono_key(m: tuple) -> tuple:
@@ -31,11 +39,8 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for m, c in (terms or {}).items():
-            if c:
-                clean[_monomial(m)] = c
-        self._terms = clean
+        _check_one_kind(terms or ())
+        self._terms = {_monomial(m): c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -63,6 +68,7 @@ class MultiPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        _check_one_kind(next(filter(None, p._terms), ()) for p in (self, other))
         out = dict(self._terms)
         for m, c in other._terms.items():
             s = out.get(m, 0) + c
@@ -75,6 +81,7 @@ class MultiPoly:
         return res
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        _check_one_kind(next(filter(None, p._terms), ()) for p in (self, other))
         out: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():

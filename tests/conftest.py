@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 import pytest
 
 from isf import (
-    Forest, IntPoly, MultiPoly, OrderedGraph, Permutation, a_poly,
-    broken_circuits, enumerate_if, spanning_forests,
+    CyclicInput, Forest, InputError, IntPoly, MultiPoly, OrderedGraph,
+    Permutation, a_poly, broken_circuits, enumerate_if, spanning_forests,
 )
 from isf.chromatic import MovableSearchReport, WhitneyReport, apply_relabeling
 
@@ -67,6 +67,33 @@ def reference_circuit_edge(n, edges):
         old = label[j]
         label = [label[i] if x == old else x for x in label]
     return None
+
+
+def reference_validated_edges(n, edges, acyclic):
+    """edges as a sorted tuple without repeats, each checked to be a pair
+    of ints with 1 <= i < j <= n, with the classes and messages that
+    OrderedGraph raises; if acyclic, the sorted list is also scanned for a
+    circuit by `reference_circuit_edge`, whatever its larger endpoints.
+    This is the two-pass validator that graphs and forests once used."""
+    out = set()
+    for e in edges:
+        try:
+            i, j = e
+        except ValueError:
+            raise InputError(f"malformed edge {tuple(e)!r}") from None
+        except TypeError:  # not iterable at all
+            raise InputError(f"malformed edge {e!r}") from None
+        if type(i) is not int or type(j) is not int:
+            raise InputError(f"malformed edge {(i, j)!r}")
+        if not (1 <= i < j <= n):
+            raise InputError(
+                f"edge ({i},{j}) violates 1 <= i < j <= n with n={n}"
+            )
+        out.add((i, j))
+    ordered = tuple(sorted(out))
+    if acyclic and (e := reference_circuit_edge(n, ordered)) is not None:
+        raise CyclicInput("edge ({},{}) closes a circuit".format(*e))
+    return ordered
 
 
 def brute_force_increasing_forests(g, k):

@@ -1,3 +1,5 @@
+import os
+import sys
 from collections import Counter
 from itertools import product
 from math import comb, factorial, prod
@@ -141,6 +143,28 @@ def test_enumeration_and_psi_never_scan_for_circuits(monkeypatch):
     assert tuple(len(enumerate_if(k6, k)) for k in range(7)) == isf_counts(k6)
     report = verify_psi(complete_graph(5), 2, 3)
     assert report.injective and report.total_pairs == 50 * 35
+
+
+def test_each_enumerated_forest_costs_at_most_two_calls():
+    # one validating loop builds a forest: its constructor and the vertex
+    # count check are the only Python calls, beside a per-graph constant
+    isf_dir = os.path.dirname(isf.__file__)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(isf_dir):
+            calls.append(frame.f_code.co_name)
+
+    k6 = complete_graph(6)
+    _forests_by_components.cache_clear()
+    sys.setprofile(profile)
+    try:
+        groups = _forests_by_components(k6)
+    finally:
+        sys.setprofile(None)
+    built = sum(map(len, groups.values()))
+    assert built == 720
+    assert len(calls) <= 2 * built + 50, Counter(calls).most_common(5)
 
 
 def test_a_poly_k3():

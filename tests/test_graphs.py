@@ -11,11 +11,13 @@ from isf import (
     OrderedGraph,
     complete_graph,
     enumerate_if,
+    spanning_forests,
 )
 from isf.enumeration import _forests_by_components
 from conftest import (
     acyclic_subsets, random_graph, reference_branch, reference_circuit_edge,
-    reference_component, reference_parent, time_limit, union_find_components,
+    reference_component, reference_parent, reference_validated_edges,
+    time_limit, union_find_components,
 )
 
 F1 = Forest(9, frozenset({(1, 2), (1, 4), (4, 7), (4, 9), (3, 5), (3, 6), (6, 8)}))
@@ -327,3 +329,57 @@ def test_every_input_form_gives_one_forest():
 def test_forest_errors_keep_type_and_message(edges, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         Forest(4, edges)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with valid, repeated and reversed pairs, circuits,
+    increasing and non-increasing forests, and some malformed items."""
+    n = draw(st.integers(0, 6))
+    end = st.integers(-1, n + 1)
+    shape = draw(st.sampled_from(["pairs", "mixed", "increasing", "path"]))
+    if shape == "increasing":  # from a parent vector, so no larger end repeats
+        picks = [draw(st.integers(0, v - 1)) for v in range(1, n + 1)]
+        return n, [(p, v) for v, p in enumerate(picks, 1) if p]
+    if shape == "path":  # a path through a vertex order, maybe closed
+        order = draw(st.permutations(range(1, n + 1)))
+        path = list(zip(order, order[1:]))
+        if draw(st.booleans()) and n >= 3:
+            path.append((order[-1], order[0]))
+        return n, [(min(e), max(e)) for e in path]
+    pair = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
+    ordered = pair.map(lambda e: (min(e), max(e)))
+    items = [ordered, ordered.map(list)]
+    if shape == "mixed":
+        items += [
+            pair, st.tuples(end, end), st.tuples(end, end, end),
+            st.integers(), st.none(), st.text(max_size=3),
+            st.tuples(st.booleans(), end),
+            st.tuples(end, st.sampled_from([2.0, 0.5])),
+        ]
+    return n, draw(st.lists(st.one_of(items), max_size=8))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InputError as exc:  # CyclicInput included
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_one_loop_validator_matches_two_pass_oracle(case):
+    n, edges = case
+    for cls, acyclic in ((OrderedGraph, False), (Forest, True)):
+        got = _outcome(lambda: cls(n, edges).sort_key())
+        assert got == _outcome(lambda: reference_validated_edges(n, edges, acyclic))
+
+
+def test_increasing_is_distinct_larger_endpoints_on_k6():
+    forests = spanning_forests(complete_graph(6))
+    assert len(forests) == 2932
+    for f in forests:
+        larger = [j for _, j in f.sort_key()]
+        assert f.increasing == (len(set(larger)) == len(larger))
+    assert sum(f.increasing for f in forests) == 720

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isf import MultiPoly, TPoly
+from isf import InputError, MultiPoly, TPoly
 from isf.polynomials import NonnegReport
 from conftest import elementary_symmetric, variable
 
@@ -26,7 +26,22 @@ def test_square_of_sum():
 
 
 def test_zero_annihilates():
-    assert MultiPoly.zero() * (x1 + e12) == MultiPoly.zero()
+    assert MultiPoly.zero() * (x1 + x2) == MultiPoly.zero()
+    assert MultiPoly.zero() * (e12 + e13) == MultiPoly.zero()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiPoly({(1,): 1, ((1, 2),): 1}),
+    lambda: MultiPoly({(1, (1, 2)): 1}),
+    lambda: x1 + e12,
+    lambda: e12 + x1,
+    lambda: x1 * e12,
+    lambda: (minus_one + x1) * (minus_one + e12),
+], ids=["terms", "monomial", "add", "radd", "mul", "mul-with-constants"])
+def test_mixed_variable_kinds_are_refused(build):
+    with pytest.raises(InputError,
+                       match="^MultiPoly mixes edge and index variables$"):
+        build()
 
 
 def test_subtract():
