@@ -280,8 +280,12 @@ def _pieces(report) -> list:
                      for n, key in reversed(list(enumerate(sorted(obj))))]
         elif isinstance(obj, list) and len(obj) > _SLICE:
             for start in range(0, len(obj), _SLICE):  # a slice's text less "[]"
-                pieces += (", " if start else "[",
-                           encode(obj[start:start + _SLICE])[1:-1])
+                # the encoder writes a tuple-based record (`PsiTrace`) as an
+                # array without asking `_to_json`, so its JSON goes in instead
+                part = [x.to_json() if isinstance(x, tuple)
+                        and hasattr(x, "to_json") else x
+                        for x in obj[start:start + _SLICE]]
+                pieces += (", " if start else "[", encode(part)[1:-1])
             pieces.append("]")
         elif isinstance(obj, list) and any(hasattr(x, "to_json") for x in obj):
             pieces.append("[")

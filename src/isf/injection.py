@@ -15,18 +15,21 @@ B[j] = A[j].  So A's half of the move (e, A', its bookkeeping) depends on
 memoises it on its forest (_cuts by j, _joins by e), beside _in_graph, the
 graph object it last passed psi's input checks in; another graph object
 checks it again and empties both memos.  A failed check stores nothing.
-j depends only on (m(A), m(B)), so phi's memo (see brackets) answers most
-pairs, but psi still calls its successor once per pair.  psi builds no
-Forest.  verify_psi checks on the vectors that A' is A less e, expected
-once per (A, e) in A's row, and then that B' is B plus e, once per (B, e);
-weight only where that fails, as a local move turns (A[j], B[j]) = (i, 0)
-into (0, i).  `images` maps each image to its first A; a collision replays
+j depends only on (m(A) ^ m(B), m(A) - m(B)): _split caches that pair per
+minima pair, so its frozensets, hashes cached, come back for phi's memo
+(see brackets) to answer most pairs; psi still calls its successor once
+per pair.  psi builds no Forest; its trace is one tuple.  verify_psi checks
+on the vectors that A' is A less e, expected once per (A, e) in A's row,
+and then that B' is B plus e, once per (B, e); weight only where that
+fails, as a local move turns (A[j], B[j]) = (i, 0) into (0, i).  `images`
+maps each image to its first A, set once per pair; a collision replays
 that A's row for its first pair.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import namedtuple
+from functools import cached_property, lru_cache
 from operator import add, mul
 
 from .brackets import phi
@@ -35,11 +38,20 @@ from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph
 from .enumeration import enumerate_if
 
 
-class PsiTrace(Record):
-    """Everything produced by one application of the edge-moving map."""
+class PsiTrace(namedtuple("PsiTrace", (
+        "mA", "mB", "sym_diff", "j", "A_comp", "B_comp", "i0", "e",
+        "A_out_parent", "B_out_parent"))):
+    """Everything produced by one application of the edge-moving map: a
+    frozen tuple of the fields, equal only to a trace, never a plain tuple."""
 
-    _fields = ("mA", "mB", "sym_diff", "j", "A_comp", "B_comp", "i0", "e",
-               "A_out_parent", "B_out_parent")
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
     # the output Forests, built from the vectors on first access
     A_out = cached_property(lambda self: Forest.from_parent(self.A_out_parent))
     B_out = cached_property(lambda self: Forest.from_parent(self.B_out_parent))
@@ -95,6 +107,12 @@ def _join(b: Forest, e: tuple) -> tuple:
     return half
 
 
+@lru_cache(maxsize=1024)
+def _split(m_a: frozenset, m_b: frozenset) -> tuple:
+    """(m(A) ^ m(B), m(A) - m(B)), the same two sets for each minima pair."""
+    return m_a ^ m_b, m_a - m_b
+
+
 def _admit(g: OrderedGraph, a: Forest, b: Forest) -> None:
     """Check each forest not marked as checked in g, A first; mark it."""
     for f, label in (a, "forest A"), (b, "forest B"):
@@ -118,7 +136,7 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
         raise SizeViolation(
             f"need components(A) < components(B), got {len(m_a)} >= {len(m_b)}"
         )
-    sym_diff, only_a = m_a ^ m_b, m_a - m_b
+    sym_diff, only_a = _split(m_a, m_b)
     added = successor(sym_diff, only_a) - only_a
     if len(added) != 1:
         raise InvariantViolation(
@@ -130,12 +148,8 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
         _fail("j in m(B) - m(A)")
     e, a_out, a_comp, i0 = a._cuts.get(j) or _cut(a, j)
     b_out, b_comp = b._joins.get(e) or _join(b, e)
-    tr = object.__new__(PsiTrace)  # frozen: bind __dict__, skip __init__
-    object.__setattr__(tr, "__dict__", {
-        "mA": m_a, "mB": m_b, "sym_diff": sym_diff, "j": j, "A_comp": a_comp,
-        "B_comp": b_comp, "i0": i0, "e": e, "A_out_parent": a_out,
-        "B_out_parent": b_out})
-    return tr
+    return tuple.__new__(PsiTrace, (m_a, m_b, sym_diff, j, a_comp, b_comp, i0,
+                                    e, a_out, b_out))
 
 
 class PsiReport(Record):
@@ -178,10 +192,10 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
                 if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
                         or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
                     weight_preserving = False
-            if key in images:
-                later.append((key, images[key], (a, b)))
-            else:
-                images[key] = a
+            size = len(images)  # a collision adds no key, even within A's row
+            first = images.setdefault(key, a)
+            if len(images) == size:
+                later.append((key, first, (a, b)))
     collisions = []
     for key, a, pair in later:  # the first preimage: first hit in A's row
         for b in forests_l:

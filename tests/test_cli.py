@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isf import (
-    Forest, complete_graph, enumerate_if, isf_tpoly, stirling_row, verify_psi,
+    Forest, complete_graph, enumerate_if, isf_tpoly, psi, stirling_row,
+    verify_psi,
 )
 import isf.enumeration
 from isf import cli
@@ -470,6 +471,18 @@ def test_sliced_report_is_the_one_shot_text(name, capsys):
     payload = PAYLOADS[name]()
     _emit("enumerate", True, payload, [])
     assert capsys.readouterr().out == _one_shot(payload)
+
+
+def test_traces_past_one_slice_are_written_by_their_to_json():
+    # the C encoder writes any tuple subclass, so a PsiTrace, as an array
+    # without calling `default`; in every slice each trace is its to_json
+    k5 = complete_graph(5)
+    traces = [psi(k5, a, b) for a in enumerate_if(k5, 1)
+              for b in enumerate_if(k5, 3)][:300]
+    assert len(set(traces)) == 300 > _SLICE and isinstance(traces[0], tuple)
+    text = "".join(cli._pieces({"traces": traces}))
+    assert json.loads(text)["traces"] == [
+        json.loads(json.dumps(t.to_json(), default=_to_json)) for t in traces]
 
 
 def _emit_peak(payload) -> float:

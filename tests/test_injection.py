@@ -367,6 +367,27 @@ def test_psi_matches_edge_set_oracle(successor):
                         assert tr.B_out.parent == want["B_out_parent"]
 
 
+def test_split_cache_keeps_only_the_set_algebra():
+    # psi takes (m(A) ^ m(B), m(A) - m(B)) from a cache keyed on the two
+    # minima; on the same Forest objects each successor in turn, phi again
+    # last, must get its own j, so the cache may hold no successor's answer
+    g = complete_graph(5)
+    pairs = [(a, b) for k in range(5) for l in range(k + 1, 6)
+             for a in enumerate_if(g, k) for b in enumerate_if(g, l)]
+    isf.injection._split.cache_clear()
+    js = []
+    for successor in (phi, phi_reversed, max_outside, phi):
+        js.append([])
+        for a, b in pairs:
+            tr = psi(g, a, b, successor=successor)
+            want = edge_set_psi(a, b, successor)
+            for name in tr._fields:
+                assert getattr(tr, name) == want[name], (successor, name)
+            js[-1].append(tr.j)
+    assert js[0] == js[3] and js[0] != js[1] and js[0] != js[2] != js[1]
+    assert isf.injection._split.cache_info().hits >= 3 * len(pairs)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -401,6 +422,21 @@ def test_collision_replay_that_misses_raises(monkeypatch):
             f"replaying A's row missed image {image}")):
         verify_psi(K4, 2, 3, successor=max_outside)
     assert calls[0] == total + len(enumerate_if(K4, 3))
+
+
+def test_collision_within_one_row_is_reported(monkeypatch):
+    # images keeps each image's first A, so an image that comes back in its
+    # own A's row finds that same A stored; it is still a collision
+    a, (b1, b2) = enumerate_if(K4, 1)[0], enumerate_if(K4, 2)[:2]
+    real = isf.injection.psi
+
+    def repeating_psi(g, x, y, successor=phi):
+        return real(g, x, b1 if (x, y) == (a, b2) else y, successor=successor)
+
+    monkeypatch.setattr(isf.injection, "psi", repeating_psi)
+    rep = verify_psi(K4, 1, 2)
+    assert not rep.injective and not rep.local
+    assert rep.collisions == [[(a, b1), (a, b2)]]
 
 
 def test_verify_psi_keeps_one_forest_per_image():

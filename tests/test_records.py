@@ -1,9 +1,11 @@
-"""Value semantics of the thirteen frozen records built on `graphs.Record`.
+"""Value semantics of the thirteen frozen records: twelve built on
+`graphs.Record`, and `PsiTrace`, a tuple of its fields.
 
 Every expected repr below was printed by the frozen dataclasses (or, for
 the six reports, the NamedTuples) these classes replaced, so equality,
 hashing and repr keep their old meaning.  A report with a list field
-cannot be hashed, as before.
+cannot be hashed, as before.  No record equals the plain tuple of its
+fields, from either side, tuple-based or not.
 """
 
 import os
@@ -124,7 +126,8 @@ def test_equality_hash_and_repr(name):
         assert hash(a) == hash(b)
     assert a != other and not a == other
     assert repr(a) == want
-    assert a != tuple(getattr(a, f) for f in a._fields)
+    t = tuple(getattr(a, f) for f in a._fields)
+    assert a != t and t != a and not a == t and not t == a
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -145,6 +148,8 @@ def test_keyword_construction(name):
     a = CASES[name][0]()
     b = type(a)(**{f: getattr(a, f) for f in a._fields})
     assert b == a and repr(b) == repr(a)
+    if name not in UNHASHABLE:
+        assert hash(b) == hash(a)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
