@@ -9,7 +9,6 @@ polynomial / broken-circuit / good-vertex apparatus.
 
 from .brackets import phi, phi_inverse, phi_reversed, subset_pair_map
 from .chromatic import (
-    IntPoly,
     broken_circuits,
     chromatic_polynomial,
     is_admissible_goodvertex,

@@ -33,27 +33,7 @@ from operator import add
 from .errors import InputError
 from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph, _joined
 from .enumeration import isf_counts
-
-
-class IntPoly(Record):
-    """Univariate integer polynomial in t, coeffs[k] = coefficient of t^k."""
-
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = tuple(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    def reflected(self, n: int) -> "IntPoly":
-        """(-1)^n * P(-t)."""
-        return IntPoly(
-            tuple((-1) ** (n + k) * c for k, c in enumerate(self.coeffs))
-        )
+from .polynomials import TPoly
 
 
 def _edge_order(g: OrderedGraph, convention) -> list:
@@ -148,7 +128,7 @@ def spanning_forests(g: OrderedGraph) -> list:
 
 
 @lru_cache(maxsize=64)
-def chromatic_polynomial(g: OrderedGraph) -> IntPoly:
+def chromatic_polynomial(g: OrderedGraph) -> TPoly:
     """Exact chromatic polynomial by one pass over the vertex order.
 
     A state partitions the placed vertices with a later neighbour into
@@ -181,7 +161,7 @@ def chromatic_polynomial(g: OrderedGraph) -> IntPoly:
                     weight = tuple(map(add, grown[key], weight))
                 grown[key] = weight
         states = grown
-    return IntPoly((0,) * isolated + states[frozenset()])
+    return TPoly((0,) * isolated + states[frozenset()])
 
 
 class WhitneyReport(Record):
@@ -293,7 +273,7 @@ def peo_isf_check(g: OrderedGraph) -> PeoReport:
     `chromatic_polynomial`, which reads only the edges and knows nothing
     of d_j, so the two sides stay independent.
     """
-    lhs = IntPoly(isf_counts(g))
+    lhs = TPoly(isf_counts(g))
     rhs = chromatic_polynomial(g).reflected(g.n)
     return PeoReport(lhs == rhs, lhs, rhs)
 

@@ -255,12 +255,25 @@ def _to_json(obj):
     return json.JSONEncoder().default(obj)  # raises the encoder's TypeError
 
 
+def _holds_trace(obj) -> bool:
+    """Whether a `PsiTrace` is obj or nested in its lists, tuples and dicts."""
+    level = [obj]
+    while level:
+        kinds = set(map(type, level))
+        if any(issubclass(k, tuple) and hasattr(k, "to_json") for k in kinds):
+            return True
+        kinds = {k for k in kinds if issubclass(k, (list, tuple, dict))}
+        level = gc.get_referents(*[x for x in level if type(x) in kinds])
+    return False
+
+
 def _pieces(report) -> list:
     """The text of `json.dumps(report, sort_keys=True, default=_to_json)`
     in pieces. A dict with only `str` keys, a record's `to_json` value too,
     is opened key by key; a list of over `_SLICE` items is encoded a slice
-    of `_SLICE` items per call, one piece each, and a shorter one holding a
-    record item by item (so a `TPoly`'s polynomials are opened); any other
+    of `_SLICE` items per call, one piece each, and a shorter list or tuple
+    holding a record (a `TPoly`'s polynomials), or any holding a `PsiTrace`
+    (which the encoder writes as an array, unasked), item by item; any other
     value is one piece. So the encoder holds one slice's tokens at a time.
     Its circular-reference markers would cost an id insert and delete per
     container and check nothing: payloads are trees of fresh containers."""
@@ -278,16 +291,13 @@ def _pieces(report) -> list:
             todo.append(("}", _TEXT))
             todo += [((", " if n else "") + encode(key) + ": ", obj[key])
                      for n, key in reversed(list(enumerate(sorted(obj))))]
-        elif isinstance(obj, list) and len(obj) > _SLICE:
+        elif isinstance(obj, list) and len(obj) > _SLICE and not _holds_trace(obj):
             for start in range(0, len(obj), _SLICE):  # a slice's text less "[]"
-                # the encoder writes a tuple-based record (`PsiTrace`) as an
-                # array without asking `_to_json`, so its JSON goes in instead
-                part = [x.to_json() if isinstance(x, tuple)
-                        and hasattr(x, "to_json") else x
-                        for x in obj[start:start + _SLICE]]
-                pieces += (", " if start else "[", encode(part)[1:-1])
+                pieces += (", " if start else "[",
+                           encode(obj[start:start + _SLICE])[1:-1])
             pieces.append("]")
-        elif isinstance(obj, list) and any(hasattr(x, "to_json") for x in obj):
+        elif isinstance(obj, (list, tuple)) and (
+                any(hasattr(x, "to_json") for x in obj) or _holds_trace(obj)):
             pieces.append("[")
             todo.append(("]", _TEXT))
             todo += reversed([(", " if n else "", x) for n, x in enumerate(obj)])

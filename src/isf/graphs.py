@@ -14,9 +14,9 @@ edge.
 
 Rooting every component at its minimum gives a forest its parent vector
 (0 marks a root), its one rooted form.  A Forest computes it lazily, once,
-and caches the minima, increasingness and component sets read off it.  An
-increasing forest is exactly a vector with 0 <= parent[v] < v, so such
-vectors build forests directly, in one scan that also yields the minima.
+and caches the minima and increasingness read off it.  An increasing
+forest is exactly a vector with 0 <= parent[v] < v: the same loop checks
+its edges (parent[v], v), and the forest it builds keeps the vector.
 
 The value classes are frozen `Record`s: equality within one class, hash
 and repr (`Forest(n=3, edges=frozenset())`) read only the fields named in
@@ -178,29 +178,17 @@ class Forest(OrderedGraph):
     def from_parent(cls, parent) -> "Forest":
         """The increasing forest whose minima-rooted parent vector is parent.
 
-        Entries are ints, not bools: parent[0] == 0, 0 <= parent[v] < v.
-        One scan checks this and collects the edges and the minima.
+        Entries are ints, not bools, and parent[0] == 0; cls's loop rejects
+        an edge (p, v) with p < 0 or p >= v, so 0 <= parent[v] < v.
         """
         try:
             parent = tuple(parent)
         except TypeError:  # not iterable at all
             raise InputError(f"parent vector {parent!r} is not iterable") from None
-        if parent[:1] != (0,) or type(parent[0]) is not int:
-            raise InputError(f"parent vector must start with 0, got {parent!r}")
-        edges, minima = [], []
-        for v in range(1, len(parent)):
-            p = parent[v]
-            if type(p) is not int or not 0 <= p < v:
-                raise InputError(f"parent[{v}] = {p!r} is not an int in 0..{v - 1}")
-            if p:
-                edges.append((p, v))
-            else:
-                minima.append(v)
-        edges.sort()
-        f = object.__new__(cls)
-        object.__setattr__(f, "n", len(parent) - 1)
-        object.__setattr__(f, "_sorted_edges", tuple(edges))
-        f.__dict__.update(parent=parent, minima=frozenset(minima), increasing=True)
+        if parent[:1] != (0,) or set(map(type, parent)) != {int}:
+            raise InputError(f"parent vector must be ints from 0, got {parent!r}")
+        f = cls(len(parent) - 1, [(p, v) for v, p in enumerate(parent) if p])
+        f.__dict__.update(parent=parent, increasing=True)
         return f
 
     @cached_property
@@ -239,22 +227,6 @@ class Forest(OrderedGraph):
     def increasing(self) -> bool:
         """True iff labels increase along every root-to-leaf path."""
         return all(self.parent[v] < v for v in range(1, self.n + 1))
-
-    @cached_property
-    def components(self) -> tuple:
-        """components[v] is the vertex set of v's component; index 0 is empty."""
-        parent, root = self.parent, [0] * (self.n + 1)  # 0: not known yet
-        members = {0: []}  # root -> its component; 0 -> the empty set
-        for v in range(1, self.n + 1):
-            u = v  # walk up to a root or to a vertex whose root is known
-            while not root[u] and parent[u]:
-                u = parent[u]
-            r, u = root[u] or u, v
-            while u and not root[u]:  # then label the walked path
-                root[u], u = r, parent[u]
-            members.setdefault(r, []).append(v)
-        sets = {r: frozenset(vs) for r, vs in members.items()}
-        return tuple([sets[r] for r in root])
 
     def component_count(self) -> int:
         return self.n - len(self._sorted_edges)

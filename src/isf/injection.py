@@ -10,9 +10,10 @@ so tests and the CLI can expose each step.
 
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
-B[j] = A[j].  So A's half of the move (e, A', its bookkeeping) depends on
-(A, j) alone and B's half on (B, e) alone: psi works each out once and
-memoises it on its forest (_cuts by j, _joins by e), beside _in_graph, the
+B[j] = A[j].  So A's half of the move (e, A', j's component, read off the
+vector in one forward pass, its bookkeeping) depends on (A, j) alone and
+B's half on (B, e) alone: psi works each out once and memoises it on its
+forest (_cuts by j, _joins by e), beside _in_graph, the
 graph object it last passed psi's input checks in; another graph object
 checks it again and empties both memos.  A failed check stores nothing.
 j depends only on (m(A) ^ m(B), m(A) - m(B)): _split caches that pair per
@@ -75,6 +76,15 @@ def _fail(claim: str):
     raise InvariantViolation(f"psi bookkeeping failed: {claim}")
 
 
+def _component(parent: tuple, j: int) -> tuple:
+    """(j's component, its root) in the increasing forest with this parent
+    vector, in one forward pass: each vertex takes its parent's root."""
+    root = [0] * len(parent)
+    for v in range(1, len(parent)):
+        root[v] = root[parent[v]] or v
+    return frozenset([v for v, r in enumerate(root) if r == root[j]]), root[j]
+
+
 def _cut(a: Forest, j: int) -> tuple:
     """A's half of the move at j, memoised in a._cuts by j: (e, A', A's
     component of j, i0), with e = (A[j], j) and A' = A with [j] set to 0."""
@@ -85,8 +95,7 @@ def _cut(a: Forest, j: int) -> tuple:
     a_out = pa[:j] + (0,) + pa[j + 1:]
     if {v for v, p in enumerate(a_out) if not p} != {0, j, *a.minima}:
         _fail("m(A') = m(A) + j")
-    a_comp = a.components[j]
-    a._cuts[j] = half = (e, a_out, a_comp, min(a_comp))
+    a._cuts[j] = half = (e, a_out, *_component(pa, j))
     return half
 
 
@@ -94,12 +103,12 @@ def _join(b: Forest, e: tuple) -> tuple:
     """B's half of the move of e = (i, j), memoised in b._joins by e:
     (B', B's component of j), with B' = B with [j] set to i."""
     i, j = e
-    b_comp = b.components[j]
-    if j != min(b_comp):
+    pb = b.parent
+    b_comp, root = _component(pb, j)
+    if j != root:  # = min(b_comp), as root[v] <= v for every v
         _fail("j = min of its component in B")
     if e in b.edges:
         _fail("e in A and e not in B")
-    pb = b.parent
     b_out = pb[:j] + (i,) + pb[j + 1:]
     if {v for v, p in enumerate(b_out) if not p} != {0, *b.minima} - {j}:
         _fail("m(B') = m(B) - j")

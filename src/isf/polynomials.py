@@ -4,7 +4,8 @@ A variable id is an edge (i, j) or a plain index i, one kind per
 polynomial (InputError otherwise), so ids compare in their natural order;
 a monomial is a tuple of variable ids, sorted (degrees > 1 appear as repeats).
 Coefficients are Python ints, so exactness is never in doubt.  Terms are
-serialized in graded lexicographic order for deterministic output.
+serialized in graded lexicographic order for deterministic output.  TPoly
+is a polynomial in t with int or MultiPoly coefficients: P(G; t), ISF(G; x, t).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class MultiPoly:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self._terms == other._terms
@@ -118,7 +119,7 @@ class MultiPoly:
         }
 
     def __repr__(self):
-        if self.is_zero():
+        if not self._terms:
             return "MultiPoly(0)"
         parts = []
         for m, c in self.canonical_terms():
@@ -127,35 +128,24 @@ class MultiPoly:
         return f"MultiPoly({' + '.join(parts)})"
 
 
-class TPoly:
-    """Polynomial in t with MultiPoly coefficients, indices 0..n.
+class TPoly(Record):
+    """Polynomial in t, coeffs[k] the coefficient of t^k, trailing zeros
+    dropped.  A nonconstant one has no t^0 term, checked at construction:
+    P(G; 0) = 0, and no spanning forest on n >= 1 vertices has 0 components."""
 
-    For n >= 1 the coefficient of t^0 must vanish (no spanning forest has
-    zero components), which is asserted at construction.
-    """
+    _fields = ("coeffs",)
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("TPoly needs at least the t^0 coefficient")
-        if len(coeffs) > 1 and not coeffs[0].is_zero():
+    def __init__(self, coeffs=()):
+        coeffs = tuple(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        if len(coeffs) > 1 and coeffs[0]:
             raise ValueError("t^0 coefficient must vanish for n >= 1")
-        self.coeffs = coeffs
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
+    def coefficient(self, k: int):
+        return self.coeffs[k] if k < len(self.coeffs) else 0
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"coeffs": self.coeffs}
-
-    def __repr__(self):
-        return f"TPoly({self.coeffs!r})"
+    def reflected(self, n: int) -> "TPoly":
+        """(-1)^n * P(-t), for int coefficients."""
+        return TPoly((-1) ** (n + k) * c for k, c in enumerate(self.coeffs))

@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 import pytest
 
 from isf import (
-    CyclicInput, Forest, InputError, IntPoly, MultiPoly, OrderedGraph,
-    Permutation, a_poly, broken_circuits, enumerate_if, spanning_forests,
+    CyclicInput, Forest, InputError, MultiPoly, OrderedGraph,
+    Permutation, TPoly, a_poly, broken_circuits, enumerate_if, spanning_forests,
 )
 from isf.chromatic import MovableSearchReport, WhitneyReport, apply_relabeling
 
@@ -251,10 +251,10 @@ def edge_set_verdicts(a, b, tr):
 
 
 def _subtract(p, q):
-    """p - q for IntPolys, coefficientwise on zero-padded tuples."""
+    """p - q for int TPolys, coefficientwise on zero-padded tuples."""
     size = max(len(p.coeffs), len(q.coeffs))
     pad = lambda c: c + (0,) * (size - len(c))
-    return IntPoly(tuple(a - b for a, b in zip(pad(p.coeffs), pad(q.coeffs))))
+    return TPoly(tuple(a - b for a, b in zip(pad(p.coeffs), pad(q.coeffs))))
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +262,7 @@ def reference_chromatic_polynomial(g, pivot="first"):
     """Deletion-contraction that builds a validated OrderedGraph at every
     node and memoizes across calls."""
     if not g.edges:
-        return IntPoly((0,) * g.n + (1,))
+        return TPoly((0,) * g.n + (1,))
     order = g.sorted_edges
     e = order[0] if pivot == "first" else order[-1]
     i, j = e

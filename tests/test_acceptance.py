@@ -13,9 +13,9 @@ import pytest
 
 from isf import (
     Forest,
-    IntPoly,
     OrderedGraph,
     Permutation,
+    TPoly,
     complete_graph,
     forest_to_permutation,
     isf_factorization_check,
@@ -220,8 +220,8 @@ def test_criterion_9_peo():
         assert holding == factorial(n - 1)
     rep = peo_isf_check(OrderedGraph(3, frozenset({(1, 3), (2, 3)})))
     assert not rep.holds
-    assert rep.lhs == IntPoly((0, 0, 2, 1))
-    assert rep.rhs == IntPoly((0, 1, 2, 1))
+    assert rep.lhs == TPoly((0, 0, 2, 1))
+    assert rep.rhs == TPoly((0, 1, 2, 1))
 
 
 @_report(10, "independence from the subset-injection instantiation")

@@ -475,14 +475,21 @@ def test_sliced_report_is_the_one_shot_text(name, capsys):
 
 def test_traces_past_one_slice_are_written_by_their_to_json():
     # the C encoder writes any tuple subclass, so a PsiTrace, as an array
-    # without calling `default`; in every slice each trace is its to_json
+    # without calling `default`; at any depth, in short lists and in every
+    # slice of a long one, each trace is its to_json
     k5 = complete_graph(5)
     traces = [psi(k5, a, b) for a in enumerate_if(k5, 1)
               for b in enumerate_if(k5, 3)][:300]
     assert len(set(traces)) == 300 > _SLICE and isinstance(traces[0], tuple)
-    text = "".join(cli._pieces({"traces": traces}))
-    assert json.loads(text)["traces"] == [
-        json.loads(json.dumps(t.to_json(), default=_to_json)) for t in traces]
+    written = [json.loads(json.dumps(t.to_json(), default=_to_json))
+               for t in traces]
+    for payload, want in [
+        ({"traces": traces}, {"traces": written}),
+        ({"x": [[traces[0]]]}, {"x": [[written[0]]]}),
+        ({"x": [[t] for t in traces]}, {"x": [[w] for w in written]}),
+        ({"x": ({"y": (traces[1],)}, 2)}, {"x": [{"y": [written[1]]}, 2]}),
+    ]:
+        assert json.loads("".join(cli._pieces(payload))) == want
 
 
 def _emit_peak(payload) -> float:

@@ -191,7 +191,7 @@ def test_factorization_examples():
     rep = isf_factorization_check(edgeless)
     assert rep.equal
     assert rep.lhs.coeffs[3] == MultiPoly.one()
-    assert all(rep.lhs.coeffs[k].is_zero() for k in range(3))
+    assert not any(rep.lhs.coeffs[k] for k in range(3))
 
     rep = isf_factorization_check(PATH3)
     assert rep.equal
@@ -331,6 +331,6 @@ def test_logconcavity_all_graphs_on_4():
 
 def test_tpoly_structure():
     tp = isf_tpoly(K4)
-    assert tp.n == 4
-    assert tp.coeffs[0].is_zero()
+    assert len(tp.coeffs) == 5
+    assert not tp.coeffs[0]
     assert tp.coeffs[4] == MultiPoly.one()

@@ -11,12 +11,13 @@ from isf import (
     OrderedGraph,
     complete_graph,
     enumerate_if,
+    psi,
     spanning_forests,
 )
 from isf.enumeration import _forests_by_components
 from conftest import (
     acyclic_subsets, random_graph, reference_branch, reference_circuit_edge,
-    reference_component, reference_parent, reference_validated_edges,
+    reference_parent, reference_validated_edges,
     time_limit, union_find_components,
 )
 
@@ -201,19 +202,20 @@ def test_from_parent_round_trip():
                 assert built.parent == fresh.parent
                 assert built.minima == fresh.minima
                 assert built.increasing and fresh.increasing
-                assert built.components == fresh.components
 
 
 def test_from_parent_rejects_non_increasing_vectors():
-    for bad in [(0, 1), (0, 0, 2), (0, 0, 3, 0), (0, -1)]:
-        with pytest.raises(InputError):
+    # each edge (parent[v], v) goes through Forest's loop, which rejects it
+    for bad, edge in [((0, 1), "(1,1)"), ((0, 0, 2), "(2,2)"),
+                      ((0, 0, 3, 0), "(3,2)"), ((0, -1), "(-1,1)")]:
+        with pytest.raises(InputError, match=re.escape(f"edge {edge} violates")):
             Forest.from_parent(bad)
 
 
 def test_from_parent_rejects_malformed_vectors():
     # (5, 0, 1) would otherwise read as a 2-vertex forest with edge (5, 0)
     for bad in [(5, 0, 1), (), [1, 0], (None,)]:
-        with pytest.raises(InputError, match="must start with 0"):
+        with pytest.raises(InputError, match="must be ints from 0"):
             Forest.from_parent(bad)
     f = Forest.from_parent([0, 0, 1])
     assert type(f.parent) is tuple and f.parent == (0, 0, 1)
@@ -222,11 +224,10 @@ def test_from_parent_rejects_malformed_vectors():
     # True == 1 would build the edge (True, 2), 1.5 the edge (1.5, 3)
     with pytest.raises(InputError, match="malformed edge"):
         Forest(2, [(True, 2)])
-    for bad in [[False, 0, 1], (0.0, 0, 1)]:
-        with pytest.raises(InputError, match="must start with 0"):
-            Forest.from_parent(bad)
-    for bad in [[0, 0, True], (0, 0, 1, 1.5), [0, 0, 1, "a"], (0, False)]:
-        with pytest.raises(InputError, match="is not an int"):
+    # (0, False) would otherwise read False as 0, a root
+    for bad in [[False, 0, 1], (0.0, 0, 1), [0, 0, True], (0, 0, 1, 1.5),
+                [0, 0, 1, "a"], (0, False)]:
+        with pytest.raises(InputError, match="must be ints from 0"):
             Forest.from_parent(bad)
 
 
@@ -237,43 +238,45 @@ def test_cached_rooted_data_matches_bfs_reference_on_k5():
         parent = reference_parent(f)
         assert f.minima == frozenset(v for v in range(1, 6) if not parent[v])
         assert f.increasing == all(parent[v] < v for v in range(1, 6))
-        assert f.components[0] == frozenset()
-        for v in range(1, 6):
-            assert f.components[v] == reference_component(f, v), (f.edges, v)
-        assert {"minima", "increasing", "components"} <= set(vars(f))
-
-
-def _random_forest(rng, n):
-    """A forest on 1..n: each vertex of a random order joins a random
-    earlier one, or no one, so most of these are not increasing."""
-    order = rng.sample(range(1, n + 1), n)
-    edges = {tuple(sorted((v, rng.choice(order[:t]))))
-             for t, v in enumerate(order) if t and rng.random() < 0.8}
-    return Forest(n, edges)
+        assert {"minima", "increasing"} <= set(vars(f))
 
 
 def test_components_match_union_find_oracle():
+    # psi reads j's component in A and in B, and i0, off the parent vectors;
+    # on random increasing forests, from vectors and from edges, each
+    # trace's A_comp, B_comp and i0 agree with union-find over the edges
     rng = Random(2026)
-    forests = [_random_forest(rng, rng.randint(0, 12)) for _ in range(300)]
-    forests += [
-        Forest.from_parent([0, *(rng.randrange(v) for v in range(1, n + 1))])
-        for n in range(13) for _ in range(10)]
-    assert {f.increasing for f in forests} == {True, False}
-    for f in forests:
-        assert f.components == union_find_components(f.n, f.edges), f
+    traces = 0
+    for n in range(2, 13):
+        kn = complete_graph(n)
+        vectors = [[0, *(rng.randrange(v) for v in range(1, n + 1))]
+                   for _ in range(8)]
+        forests = [Forest.from_parent(p) for p in vectors]
+        forests += [Forest(n, f.edges) for f in forests]
+        for a in forests:
+            for b in forests:
+                if a.component_count() >= b.component_count():
+                    continue
+                tr = psi(kn, a, b)
+                comp_a = union_find_components(n, a.edges)[tr.j]
+                assert tr.A_comp == comp_a and tr.i0 == min(comp_a), (a, b)
+                assert tr.B_comp == union_find_components(n, b.edges)[tr.j]
+                traces += 1
+    assert traces > 800
 
 
 def test_components_are_linear_in_n():
     # a long path is the deepest rooted tree, and n singletons the most
     # components; walking each vertex to its root, or scanning all
-    # vertices once per component, takes many seconds on either
+    # vertices once per component, takes many seconds on either, where
+    # psi's one forward pass over each vector takes milliseconds
     n = 20000
+    path = [(v, v + 1) for v in range(1, n)]
+    g, a, b = OrderedGraph(n, path), Forest(n, path), Forest(n)
     with time_limit(1):
-        path = Forest(n, [(v, v + 1) for v in range(1, n)]).components
-        singletons = Forest(n).components
-    assert path[0] == singletons[0] == frozenset()
-    assert path[1] is path[n] and path[1] == frozenset(range(1, n + 1))
-    assert all(singletons[v] == {v} for v in range(1, n + 1))
+        tr = psi(g, a, b)
+    assert tr.A_comp == frozenset(range(1, n + 1)) and tr.i0 == 1
+    assert tr.B_comp == {tr.j} and tr.e == (tr.j - 1, tr.j)
 
 
 def test_parent_is_lazy_and_outside_equality():

@@ -636,13 +636,13 @@ def test_invariant_violation_on_bad_successor():
     assert not issubclass(InvariantViolation, InputError)
 
 
-A_ROOTED = {"increasing": True, "minima": frozenset({1}),
-            "components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}
+A_ROOTED = {"increasing": True, "minima": frozenset({1})}
+# B's true minima, with a vector that hangs j = 3 below 1
+B_BELOW_1 = {"parent": (0, 0, 0, 1), "minima": frozenset({1, 2, 3})}
 
 
 @pytest.mark.parametrize("claim, b_edges, a_cache, b_cache", [
-    ("j = min of its component in B", (), {},
-     {"components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}),
+    ("j = min of its component in B", (), {}, B_BELOW_1),
     ("e in A and e not in B", ((1, 3),), {},
      {"parent": (0, 0, 0, 0), "minima": frozenset({1, 2, 3})}),
     ("m(A') = m(A) + j", (), {"minima": frozenset({1, 2})}, {}),
@@ -653,6 +653,8 @@ A_ROOTED = {"increasing": True, "minima": frozenset({1}),
     ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (0, 0, 0, 1)}, {}),
     ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (0, 2, 0, 1)}, {}),
     ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (5, 0, 0, 1)}, {}),
+    # a vector with j = 3 a root of A, so A's half finds no edge (A[j], j)
+    ("e in A and e not in B", (), {**A_ROOTED, "parent": (0, 0, 1, 0)}, {}),
 ])
 def test_each_bookkeeping_check_fires(claim, b_edges, a_cache, b_cache):
     # With consistent forests these claims are theorems, so each is reached
@@ -667,8 +669,7 @@ def test_each_bookkeeping_check_fires(claim, b_edges, a_cache, b_cache):
 
 @pytest.mark.parametrize("claim, b_edges, a_cache, b_cache", [
     ("m(A') = m(A) + j", (), {**A_ROOTED, "parent": (0, 0, 0, 1)}, {}),
-    ("j = min of its component in B", (), {},
-     {"components": (frozenset(),) + (frozenset({1, 2, 3}),) * 3}),
+    ("j = min of its component in B", (), {}, B_BELOW_1),
     ("e in A and e not in B", ((1, 3),), {},
      {"parent": (0, 0, 0, 0), "minima": frozenset({1, 2, 3})}),
     ("m(B') = m(B) - j", (), {},

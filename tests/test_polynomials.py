@@ -67,7 +67,7 @@ def test_elementary_symmetric():
         {(1, 2): 1, (1, 3): 1, (2, 3): 1}
     )
     assert len(elementary_symmetric(range(1, 7), 3).terms) == comb(6, 3)
-    assert elementary_symmetric(range(1, 4), 4).is_zero()
+    assert not elementary_symmetric(range(1, 4), 4)
 
 
 def test_elementary_symmetric_strong_logconcavity():
@@ -120,8 +120,9 @@ def test_json_round_trip_and_canonical_order():
 def test_tpoly_invariants():
     zero = MultiPoly.zero()
     tp = TPoly([zero, x1, MultiPoly.one()])
-    assert tp.n == 2
-    with pytest.raises(ValueError):
-        TPoly([])
+    assert len(tp.coeffs) == 3
+    assert TPoly([]).coeffs == () == TPoly([zero]).coeffs  # the zero polynomial
     with pytest.raises(ValueError):
         TPoly([MultiPoly.one(), x1])
+    # a MultiPoly is false exactly when it is zero, as TPoly's checks read it
+    assert not zero and not x1 + MultiPoly({(1,): -1}) and MultiPoly({(1,): -1})

@@ -3,11 +3,13 @@
 
 Every expected repr below was printed by the frozen dataclasses (or, for
 the six reports, the NamedTuples) these classes replaced, so equality,
-hashing and repr keep their old meaning.  A report with a list field
-cannot be hashed, as before.  No record equals the plain tuple of its
-fields, from either side, tuple-based or not.
+hashing and repr keep their old meaning; `TPoly`, which took in the int
+polynomial class `IntPoly`, prints as that dataclass did.  A report with a
+list field cannot be hashed, as before.  No record equals the plain tuple
+of its fields, from either side, tuple-based or not.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -17,10 +19,11 @@ import pytest
 
 import isf
 from isf import (
-    Forest, MultiPoly, OrderedGraph, complete_graph, isf_factorization_check,
-    movable_edge_search, peo_isf_check, psi, verify_psi, whitney_check,
+    Forest, MultiPoly, OrderedGraph, TPoly, complete_graph,
+    isf_factorization_check, movable_edge_search, peo_isf_check, psi,
+    verify_psi, whitney_check,
 )
-from isf.chromatic import IntPoly
+from isf.cli import _pieces, _to_json
 from isf.graphs import Record
 from isf.polynomials import NonnegReport
 from isf.stirling import Permutation, StirlingRow, permutation_psi, stirling_row
@@ -50,9 +53,9 @@ CASES = {
         lambda: OrderedGraph(3, E), OrderedGraph(4, E),
         "OrderedGraph(n=3, edges=frozenset({(1, 2)}))",
     ),
-    "IntPoly": (
-        lambda: IntPoly((1, -2, 0, 0)), IntPoly((1, -2, 1)),
-        "IntPoly(coeffs=(1, -2))",
+    "TPoly": (
+        lambda: TPoly((0, -2, 0, 0)), TPoly((0, -2, 1)),
+        "TPoly(coeffs=(0, -2))",
     ),
     "Permutation": (
         lambda: Permutation(3, ((1, 3), (2,))), identity_permutation(3),
@@ -79,14 +82,14 @@ CASES = {
     ),
     "FactorizationReport": (
         lambda: isf_factorization_check(P2), isf_factorization_check(K3),
-        "FactorizationReport(equal=True, lhs=TPoly([MultiPoly(0), "
-        "MultiPoly(1*x(1, 2)), MultiPoly(1*1)]), rhs=TPoly([MultiPoly(0), "
-        "MultiPoly(1*x(1, 2)), MultiPoly(1*1)]))",
+        "FactorizationReport(equal=True, lhs=TPoly(coeffs=(MultiPoly(0), "
+        "MultiPoly(1*x(1, 2)), MultiPoly(1*1))), rhs=TPoly(coeffs=(MultiPoly(0), "
+        "MultiPoly(1*x(1, 2)), MultiPoly(1*1))))",
     ),
     "PeoReport": (
         lambda: peo_isf_check(P2), peo_isf_check(OrderedGraph(3, {(1, 3), (2, 3)})),
-        "PeoReport(holds=True, lhs=IntPoly(coeffs=(0, 1, 1)), "
-        "rhs=IntPoly(coeffs=(0, 1, 1)))",
+        "PeoReport(holds=True, lhs=TPoly(coeffs=(0, 1, 1)), "
+        "rhs=TPoly(coeffs=(0, 1, 1)))",
     ),
     "NonnegReport": (
         lambda: MultiPoly({((1, 2), (1, 2)): -1}).nonneg_report(),
@@ -168,7 +171,7 @@ def test_default_to_json_is_the_fields_by_name(name):
 def test_keyword_construction_validates():
     assert Forest(n=3, edges=E) == Forest(3, E) == Forest(3, edges=E)
     assert OrderedGraph(n=2) == OrderedGraph(2, frozenset())
-    assert IntPoly(coeffs=[3, 0]).coeffs == (3,)
+    assert TPoly(coeffs=[3, 0]).coeffs == (3,)
     assert Permutation(n=2, cycles=[[1, 2]]).cycles == ((1, 2),)
     with pytest.raises(TypeError):
         Forest(3, E, edges=E)
@@ -182,6 +185,32 @@ def test_keyword_construction_validates():
     assert StirlingRow(2, signed=row.signed, unsigned=row.unsigned) == row
 
 
+def test_tpoly_holds_int_and_multipoly_coefficients_alike():
+    x, one, zero = MultiPoly({(1,): 1}), MultiPoly.one(), MultiPoly.zero()
+    # trailing zeros go, for ints and for MultiPolys, down to the zero polynomial
+    assert TPoly([0, 2, 1, 0, 0]).coeffs == (0, 2, 1)
+    assert TPoly([zero, x, one, zero]).coeffs == (zero, x, one)
+    assert TPoly([0, 0]).coeffs == TPoly([zero]).coeffs == TPoly().coeffs == ()
+    # a nonconstant polynomial has no t^0 term; a constant may be anything
+    for bad in ([1, 1], [3, 0, 2, 0], [one, x], [x, zero, one, zero]):
+        with pytest.raises(ValueError, match="^t\\^0 coefficient must vanish"):
+            TPoly(bad)
+    assert TPoly([5]).coeffs == (5,) and TPoly([x]).coeffs == (x,)
+    tp = TPoly([zero, x, one])
+    assert repr(tp) == "TPoly(coeffs=(MultiPoly(0), MultiPoly(1*x1), MultiPoly(1*1)))"
+    assert hash(tp) == hash(TPoly((zero, x, one, zero))) and tp != TPoly([0, 1, 1])
+    assert tp.coefficient(1) == x and tp.coefficient(7) == 0
+    assert TPoly([0, 2, -3, 1]).reflected(3) == TPoly([0, 2, 3, 1])
+    # to_json is the default one: the coefficient tuple, which the CLI's
+    # encoder opens a polynomial at a time and writes as a list
+    assert tp.to_json() == {"coeffs": (zero, x, one)}
+    pieces = _pieces({"tpoly": tp})
+    assert [p for p in pieces if '"terms"' in p] == ['"terms": '] * 3
+    assert json.loads("".join(pieces)) == json.loads(
+        json.dumps({"tpoly": tp}, default=_to_json))
+    assert json.loads("".join(pieces))["tpoly"]["coeffs"][1] == x.to_json()
+
+
 def test_other_classes_compare_unequal():
     f, g = Forest(3, E), OrderedGraph(3, E)
     assert f != g and g != f and not f == g
@@ -191,7 +220,7 @@ def test_other_classes_compare_unequal():
 
 def test_cached_values_stay_out_of_equality():
     a, b = Forest(3, E), Forest(3, E)
-    for cached in ("parent", "minima", "increasing", "components"):
+    for cached in ("parent", "minima", "increasing"):
         getattr(a, cached)  # fills a's cache only
     assert "parent" in vars(a) and "parent" not in vars(b)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
