@@ -275,32 +275,37 @@ def _pieces(report) -> list:
     holding a record (a `TPoly`'s polynomials), or any holding a `PsiTrace`
     (which the encoder writes as an array, unasked), item by item; any other
     value is one piece. So the encoder holds one slice's tokens at a time.
+    No `to_json` returns a trace, so a value one made is not searched.
     Its circular-reference markers would cost an id insert and delete per
     container and check nothing: payloads are trees of fresh containers."""
     encode = json.JSONEncoder(sort_keys=True, default=_to_json,
                               check_circular=False).encode
-    pieces, todo = [], [("", report)]  # todo: (text, value after it), last first
+    # todo: (text, value after it, whether a to_json made it), last first
+    pieces, todo = [], [("", report, False)]
     while todo:
-        text, obj = todo.pop()
+        text, obj, made = todo.pop()
         pieces.append(text)
         if obj is _TEXT:
             continue
-        obj = obj.to_json() if hasattr(obj, "to_json") else obj
+        obj, made = (obj.to_json(), True) if hasattr(obj, "to_json") else (obj, made)
         if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
             pieces.append("{")
-            todo.append(("}", _TEXT))
-            todo += [((", " if n else "") + encode(key) + ": ", obj[key])
+            todo.append(("}", _TEXT, made))
+            todo += [((", " if n else "") + encode(key) + ": ", obj[key], made)
                      for n, key in reversed(list(enumerate(sorted(obj))))]
-        elif isinstance(obj, list) and len(obj) > _SLICE and not _holds_trace(obj):
+        elif (isinstance(obj, list) and len(obj) > _SLICE
+                and (made or not _holds_trace(obj))):
             for start in range(0, len(obj), _SLICE):  # a slice's text less "[]"
                 pieces += (", " if start else "[",
                            encode(obj[start:start + _SLICE])[1:-1])
             pieces.append("]")
         elif isinstance(obj, (list, tuple)) and (
-                any(hasattr(x, "to_json") for x in obj) or _holds_trace(obj)):
+                any(hasattr(x, "to_json") for x in obj)
+                or not made and _holds_trace(obj)):
             pieces.append("[")
-            todo.append(("]", _TEXT))
-            todo += reversed([(", " if n else "", x) for n, x in enumerate(obj)])
+            todo.append(("]", _TEXT, made))
+            todo += reversed([(", " if n else "", x, made)
+                              for n, x in enumerate(obj)])
         else:
             pieces.append(encode(obj))
     return pieces

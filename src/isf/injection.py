@@ -10,21 +10,21 @@ so tests and the CLI can expose each step.
 
 On parent vectors (see graphs) the move is one coordinate swap: the moved
 edge is (A[j], j), and the outputs are A with A[j] = 0 and B with
-B[j] = A[j].  So A's half of the move (e, A', j's component, read off the
-vector in one forward pass, its bookkeeping) depends on (A, j) alone and
-B's half on (B, e) alone: psi works each out once and memoises it on its
-forest (_cuts by j, _joins by e), beside _in_graph, the
-graph object it last passed psi's input checks in; another graph object
-checks it again and empties both memos.  A failed check stores nothing.
-j depends only on (m(A) ^ m(B), m(A) - m(B)): _split caches that pair per
-minima pair, so its frozensets, hashes cached, come back for phi's memo
-(see brackets) to answer most pairs; psi still calls its successor once
-per pair.  psi builds no Forest; its trace is one tuple.  verify_psi checks
-on the vectors that A' is A less e, expected once per (A, e) in A's row,
-and then that B' is B plus e, once per (B, e); weight only where that
+B[j] = A[j].  So A's half of the move (e, A', j's component, its
+bookkeeping) depends on (A, j) alone and B's half on (B, e) alone: psi
+works each out once and memoises it on its forest (_cuts by j, _joins by
+e), beside _in_graph, the graph object it last passed psi's input checks
+in, and a root vector and one frozenset per component that its halves
+share; another graph object checks it again and empties all of these.
+A failed check stores no half.  j depends only on (m(A) ^ m(B), m(A) -
+m(B)): _split caches that pair per minima pair, so its frozensets, hashes
+cached, come back for phi's memo (see brackets) to answer most pairs; psi
+still calls its successor once per pair.  psi builds no Forest; its trace
+is one tuple.  verify_psi checks that A' is A less e and B' is B plus e
+once per vector object and (A, e) or (B, e); weight only where that
 fails, as a local move turns (A[j], B[j]) = (i, 0) into (0, i).  `images`
-maps each image to its first A, set once per pair; a collision replays
-that A's row for its first pair.
+maps an image's number n(A') * base + n(B'), each side numbering its
+vectors by value, to its first A; a collision replays that A's row.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ def _fail(claim: str):
     raise InvariantViolation(f"psi bookkeeping failed: {claim}")
 
 
-def _component(parent: tuple, j: int) -> tuple:
-    """(j's component, its root) in the increasing forest with this parent
-    vector, in one forward pass: each vertex takes its parent's root."""
-    root = [0] * len(parent)
-    for v in range(1, len(parent)):
-        root[v] = root[parent[v]] or v
-    return frozenset([v for v, r in enumerate(root) if r == root[j]]), root[j]
+def _component(f: Forest, j: int) -> tuple:
+    """(j's component, its root) in the increasing forest f, off f's root
+    vector; each component's frozenset is built once, for all f's halves."""
+    roots, comps = f._roots, f._comps
+    if (comp := comps.get(r := roots[j])) is None:
+        comp = comps[r] = frozenset([v for v, x in enumerate(roots) if x == r])
+    return comp, r
 
 
 def _cut(a: Forest, j: int) -> tuple:
@@ -95,7 +95,7 @@ def _cut(a: Forest, j: int) -> tuple:
     a_out = pa[:j] + (0,) + pa[j + 1:]
     if {v for v, p in enumerate(a_out) if not p} != {0, j, *a.minima}:
         _fail("m(A') = m(A) + j")
-    a._cuts[j] = half = (e, a_out, *_component(pa, j))
+    a._cuts[j] = half = (e, a_out, *_component(a, j))
     return half
 
 
@@ -104,7 +104,7 @@ def _join(b: Forest, e: tuple) -> tuple:
     (B', B's component of j), with B' = B with [j] set to i."""
     i, j = e
     pb = b.parent
-    b_comp, root = _component(pb, j)
+    b_comp, root = _component(b, j)
     if j != root:  # = min(b_comp), as root[v] <= v for every v
         _fail("j = min of its component in B")
     if e in b.edges:
@@ -123,13 +123,17 @@ def _split(m_a: frozenset, m_b: frozenset) -> tuple:
 
 
 def _admit(g: OrderedGraph, a: Forest, b: Forest) -> None:
-    """Check each forest not marked as checked in g, A first; mark it."""
+    """Check each forest not marked as checked in g, A first; mark it, and
+    give it empty memos and its root vector: each vertex its parent's root."""
     for f, label in (a, "forest A"), (b, "forest B"):
         if getattr(f, "_in_graph", None) is not g:
             _check_forest_in_graph(g, f, label)
             if not f.increasing:
                 raise NotIncreasing(f"{label} is not increasing")
-            vars(f).update(_in_graph=g, _cuts={}, _joins={})
+            root = [0] * len(f.parent)
+            for v in range(1, len(root)):
+                root[v] = root[f.parent[v]] or v
+            vars(f).update(_in_graph=g, _cuts={}, _joins={}, _roots=root, _comps={})
 
 
 def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
@@ -177,34 +181,38 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
     """Exhaustively apply psi to IF_k x IF_l and check all its contracts."""
     if {type(k), type(l)} != {int} or not 0 <= k < l <= g.n:
         raise SizeViolation(f"need 0 <= k < l <= n={g.n}, got k={k!r}, l={l!r}")
-    images: dict = {}  # each image -> the A of its first preimage
+    images: dict = {}  # each image's number -> the A of its first preimage
     later = []  # (image, its first A, pair) for each image seen before
     local = weight_preserving = True
     forests_k, forests_l = enumerate_if(g, k), enumerate_if(g, l)
-    column = [(b, b.parent, {}) for b in forests_l]  # {e: B plus e} per B
+    num_a, num_b = {}, {}  # each side's vectors, by value -> 0, 1, 2, ...
+    base = len(forests_k) * len(forests_l) + 1  # more than a side can number
+    column = [(b, b.parent, {}) for b in forests_l]  # {e: B' checked} per B
     for a in forests_k:
         pa = a.parent
-        cuts = {}  # {e: A less e}, for A's row
+        cuts = {}  # {e: A' checked}, for A's row
         for b, pb, joins in column:
             tr = psi(g, a, b, successor=successor)
-            key = a_out, b_out = tr.A_out_parent, tr.B_out_parent
+            a_out, b_out = tr.A_out_parent, tr.B_out_parent
             i, j = e = tr.e
-            if (cut := cuts.get(e)) is None and 0 < i < j and pa[j] == i:
-                cut = cuts[e] = pa[:j] + (0,) + pa[j + 1:]
-            join = cut is not None and a_out == cut and joins.get(e)
-            if (join is None and not pb[j]
-                    and b_out == pb[:j] + (i,) + pb[j + 1:]):
-                join = joins[e] = b_out  # psi's own vector, once it matched
-            if not join or b_out != join:
+            # a check is kept as (vector, its number, verdict): the same
+            # object again is neither compared nor hashed, another one is
+            if (cut := cuts.get(e)) is None or cut[0] is not a_out:
+                cut = cuts[e] = a_out, num_a.setdefault(a_out, len(num_a)), (
+                    0 < i < j and pa[j] == i and a_out == pa[:j] + (0,) + pa[j + 1:])
+            if (join := joins.get(e)) is None or join[0] is not b_out:
+                join = joins[e] = b_out, num_b.setdefault(b_out, len(num_b)), (
+                    0 < i < j and not pb[j] and b_out == pb[:j] + (i,) + pb[j + 1:])
+            if not (cut[2] and join[2]):
                 local = False
                 # weight: {A[v], B[v]} = {A'[v], B'[v]}, by sums and products
                 if (list(map(add, pa, pb)) != list(map(add, a_out, b_out))
                         or list(map(mul, pa, pb)) != list(map(mul, a_out, b_out))):
                     weight_preserving = False
             size = len(images)  # a collision adds no key, even within A's row
-            first = images.setdefault(key, a)
+            first = images.setdefault(cut[1] * base + join[1], a)
             if len(images) == size:
-                later.append((key, first, (a, b)))
+                later.append(((a_out, b_out), first, (a, b)))
     collisions = []
     for key, a, pair in later:  # the first preimage: first hit in A's row
         for b in forests_l:

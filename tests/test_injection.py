@@ -26,6 +26,7 @@ from isf import (
     verify_psi,
 )
 from isf.brackets import _phi
+from isf.enumeration import _forests_by_components
 from conftest import (
     all_edge_subsets, edge_set_psi, edge_set_verdicts, max_outside, random_graph,
     reference_parent,
@@ -440,9 +441,10 @@ def test_collision_within_one_row_is_reported(monkeypatch):
 
 
 def test_verify_psi_keeps_one_forest_per_image():
-    # images maps each image to its first A, not to the pair (A, B); after a
-    # warm-up call has filled the forests' halves and phi's memo, a second
-    # call's peak is mostly that dict and its keys (about 108 B per pair)
+    # images maps each image's number to its first A, not the pair (A, B) to
+    # A; after a warm-up call has filled the forests' halves and phi's memo,
+    # a second call's peak is mostly that dict and its int keys (about 84 B
+    # per pair, 2.63 MB in all on CPython 3.11; 2-tuple keys made it 3.04 MB)
     k6 = complete_graph(6)
     verify_psi(k6, 2, 4)
     tracemalloc.start()
@@ -452,7 +454,52 @@ def test_verify_psi_keeps_one_forest_per_image():
     finally:
         tracemalloc.stop()
     assert rep.injective and rep.total_pairs == 23290
-    assert peak < 3.6e6
+    assert peak < 2.9e6
+
+
+def test_image_numbers_name_each_image_once(monkeypatch):
+    # an image's key is n(A') * base + n(B'), each side numbering its vectors
+    # by value in pair order; psi answers every pair of K3's IF_1 x IF_2 with
+    # its own B' and the same A', but pair 1's, so that any base up to
+    # pairs - 2 would give pair 1 and a later pair one key. Then two pairs
+    # are given one image, and only they collide.
+    pairs = [(a, b) for a in enumerate_if(K3, 1) for b in enumerate_if(K3, 2)]
+    real = isf.injection.psi
+    for shared in (None, (1, 5)):
+        outs = {pair: ((int(n == 1),), (n,)) for n, pair in enumerate(pairs)}
+        if shared:
+            outs[pairs[shared[1]]] = outs[pairs[shared[0]]]
+
+        def numbered_psi(g, a, b, successor=phi):
+            a_out, b_out = outs[a, b]
+            return replace(real(g, a, b, successor=successor),
+                           A_out_parent=a_out, B_out_parent=b_out)
+
+        monkeypatch.setattr(isf.injection, "psi", numbered_psi)
+        rep = verify_psi(K3, 1, 2)
+        assert rep.total_pairs == len(pairs) == 6 and not rep.local
+        assert rep.collisions == (
+            [[pairs[shared[0]], pairs[shared[1]]]] if shared else [])
+
+
+def test_halves_of_a_forest_share_its_component_sets():
+    # each forest's component sets are built once, on first ask: a cold run
+    # leaves at most one set per component, held by every half of that
+    # forest whose j lies in it
+    _forests_by_components.cache_clear()
+    k6 = complete_graph(6)
+    assert verify_psi(k6, 2, 4).injective
+    sets = []
+    for f, comps in [(a, [half[2] for half in a._cuts.values()])
+                     for a in enumerate_if(k6, 2)] + [
+                    (b, [half[1] for half in b._joins.values()])
+                     for b in enumerate_if(k6, 4)]:
+        by_root = {}
+        for comp in comps:
+            assert by_root.setdefault(min(comp), comp) is comp, f
+        assert len(by_root) <= len(f.minima)
+        sets += by_root.values()
+    assert len(sets) == len(set(map(id, sets))) == 556
 
 
 def _set_at(tr, v, a_v, b_v, **changes):
