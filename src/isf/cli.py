@@ -255,57 +255,41 @@ def _to_json(obj):
     return json.JSONEncoder().default(obj)  # raises the encoder's TypeError
 
 
-def _holds_trace(obj) -> bool:
-    """Whether a `PsiTrace` is obj or nested in its lists, tuples and dicts."""
-    level = [obj]
-    while level:
-        kinds = set(map(type, level))
-        if any(issubclass(k, tuple) and hasattr(k, "to_json") for k in kinds):
-            return True
-        kinds = {k for k in kinds if issubclass(k, (list, tuple, dict))}
-        level = gc.get_referents(*[x for x in level if type(x) in kinds])
-    return False
-
-
 def _pieces(report) -> list:
     """The text of `json.dumps(report, sort_keys=True, default=_to_json)`
-    in pieces. A dict with only `str` keys, a record's `to_json` value too,
-    is opened key by key; a list of over `_SLICE` items is encoded a slice
-    of `_SLICE` items per call, one piece each, and a shorter list or tuple
-    holding a record (a `TPoly`'s polynomials), or any holding a `PsiTrace`
-    (which the encoder writes as an array, unasked), item by item; any other
-    value is one piece. So the encoder holds one slice's tokens at a time.
-    No `to_json` returns a trace, so a value one made is not searched.
+    in pieces. A record is written by its `to_json` wherever it is met. A
+    dict with only `str` keys, a record's `to_json` value too, is opened key
+    by key; a list of over `_SLICE` items is encoded a slice of `_SLICE`
+    items per call, one piece each, and a shorter list or tuple holding a
+    record (a `TPoly`'s polynomials) item by item; any other value is one
+    piece. So the encoder holds one slice's tokens at a time.
     Its circular-reference markers would cost an id insert and delete per
     container and check nothing: payloads are trees of fresh containers."""
     encode = json.JSONEncoder(sort_keys=True, default=_to_json,
                               check_circular=False).encode
-    # todo: (text, value after it, whether a to_json made it), last first
-    pieces, todo = [], [("", report, False)]
+    pieces, todo = [], [("", report)]  # (text, value after it), last first
     while todo:
-        text, obj, made = todo.pop()
+        text, obj = todo.pop()
         pieces.append(text)
         if obj is _TEXT:
             continue
-        obj, made = (obj.to_json(), True) if hasattr(obj, "to_json") else (obj, made)
+        if hasattr(obj, "to_json"):
+            obj = obj.to_json()
         if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
             pieces.append("{")
-            todo.append(("}", _TEXT, made))
-            todo += [((", " if n else "") + encode(key) + ": ", obj[key], made)
+            todo.append(("}", _TEXT))
+            todo += [((", " if n else "") + encode(key) + ": ", obj[key])
                      for n, key in reversed(list(enumerate(sorted(obj))))]
-        elif (isinstance(obj, list) and len(obj) > _SLICE
-                and (made or not _holds_trace(obj))):
+        elif isinstance(obj, list) and len(obj) > _SLICE:
             for start in range(0, len(obj), _SLICE):  # a slice's text less "[]"
                 pieces += (", " if start else "[",
                            encode(obj[start:start + _SLICE])[1:-1])
             pieces.append("]")
-        elif isinstance(obj, (list, tuple)) and (
-                any(hasattr(x, "to_json") for x in obj)
-                or not made and _holds_trace(obj)):
+        elif (isinstance(obj, (list, tuple))
+                and any(hasattr(x, "to_json") for x in obj)):
             pieces.append("[")
-            todo.append(("]", _TEXT, made))
-            todo += reversed([(", " if n else "", x, made)
-                              for n, x in enumerate(obj)])
+            todo.append(("]", _TEXT))
+            todo += reversed([(", " if n else "", x) for n, x in enumerate(obj)])
         else:
             pieces.append(encode(obj))
     return pieces

@@ -61,8 +61,11 @@ class Record:
         values = dict(zip(names, args), **kwargs)
         if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes exactly the fields {names}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
+        self._bind(tuple([values[name] for name in names]))
+
+    def _bind(self, values: tuple) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -20,16 +20,16 @@ A failed check stores no half.  j depends only on (m(A) ^ m(B), m(A) -
 m(B)): _split caches that pair per minima pair, so its frozensets, hashes
 cached, come back for phi's memo (see brackets) to answer most pairs; psi
 still calls its successor once per pair.  psi builds no Forest; its trace
-is one tuple.  verify_psi checks that A' is A less e and B' is B plus e
-once per vector object and (A, e) or (B, e); weight only where that
-fails, as a local move turns (A[j], B[j]) = (i, 0) into (0, i).  `images`
-maps an image's number n(A') * base + n(B'), each side numbering its
-vectors by value, to its first A; a collision replays that A's row.
+keeps its fields as one tuple in one slot, which verify_psi unpacks once
+per pair.  verify_psi checks that A' is A less e and B' is B plus e once
+per vector object and (A, e) or (B, e); weight only where that fails, as
+a local move turns (A[j], B[j]) = (i, 0) into (0, i).  `images` maps an
+image's number n(A') * base + n(B'), each side numbering its vectors by
+value, to its first A; a collision replays that A's row.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add, mul
 
@@ -39,20 +39,25 @@ from .graphs import Forest, OrderedGraph, Record, _check_forest_in_graph
 from .enumeration import enumerate_if
 
 
-class PsiTrace(namedtuple("PsiTrace", (
-        "mA", "mB", "sym_diff", "j", "A_comp", "B_comp", "i0", "e",
-        "A_out_parent", "B_out_parent"))):
-    """Everything produced by one application of the edge-moving map: a
-    frozen tuple of the fields, equal only to a trace, never a plain tuple."""
+class PsiTrace(Record):
+    """Everything produced by one application of the edge-moving map.  Its
+    fields are one tuple in one slot, so psi builds a trace with one store."""
 
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+    __slots__ = ("_v",)
+    _fields = ("mA", "mB", "sym_diff", "j", "A_comp", "B_comp", "i0", "e",
+               "A_out_parent", "B_out_parent")
+    (mA, mB, sym_diff, j, A_comp, B_comp, i0, e, A_out_parent,
+     B_out_parent) = (property(lambda self, i=i: self._v[i]) for i in range(10))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    def _bind(self, values: tuple) -> None:
+        object.__setattr__(self, "_v", values)
 
-    __hash__ = tuple.__hash__
-    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
+    def _values(self) -> tuple:
+        return self._v
+
+    def __reduce__(self):  # the slot refuses copy's and pickle's setattr
+        return PsiTrace, self._v
+
     # the output Forests, built from the vectors on first access
     A_out = cached_property(lambda self: Forest.from_parent(self.A_out_parent))
     B_out = cached_property(lambda self: Forest.from_parent(self.B_out_parent))
@@ -70,6 +75,9 @@ class PsiTrace(namedtuple("PsiTrace", (
             "A_out": self.A_out,
             "B_out": self.B_out,
         }
+
+
+_set_fields = PsiTrace._v.__set__  # the slot's store, past Record.__setattr__
 
 
 def _fail(claim: str):
@@ -161,8 +169,9 @@ def psi(g: OrderedGraph, a: Forest, b: Forest, successor=phi) -> PsiTrace:
         _fail("j in m(B) - m(A)")
     e, a_out, a_comp, i0 = a._cuts.get(j) or _cut(a, j)
     b_out, b_comp = b._joins.get(e) or _join(b, e)
-    return tuple.__new__(PsiTrace, (m_a, m_b, sym_diff, j, a_comp, b_comp, i0,
-                                    e, a_out, b_out))
+    trace = object.__new__(PsiTrace)
+    _set_fields(trace, (m_a, m_b, sym_diff, j, a_comp, b_comp, i0, e, a_out, b_out))
+    return trace
 
 
 class PsiReport(Record):
@@ -193,8 +202,8 @@ def verify_psi(g: OrderedGraph, k: int, l: int, successor=phi) -> PsiReport:
         cuts = {}  # {e: A' checked}, for A's row
         for b, pb, joins in column:
             tr = psi(g, a, b, successor=successor)
-            a_out, b_out = tr.A_out_parent, tr.B_out_parent
-            i, j = e = tr.e
+            _, _, _, _, _, _, _, e, a_out, b_out = tr._v  # one unpack per pair
+            i, j = e
             # a check is kept as (vector, its number, verdict): the same
             # object again is neither compared nor hashed, another one is
             if (cut := cuts.get(e)) is None or cut[0] is not a_out:

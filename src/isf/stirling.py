@@ -35,7 +35,9 @@ class Permutation(Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cycles", cycles)
         flat = [v for c in cycles for v in c]
-        if sorted(flat) != list(range(1, n + 1)):
+        # sizes first: a huge n must not build its range; no block is empty
+        if (len(flat) != n or not all(cycles)
+                or sorted(flat) != list(range(1, n + 1))):
             raise NonCanonicalCycle(
                 f"cycles {cycles!r} do not partition 1..{n}"
             )

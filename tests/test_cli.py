@@ -448,6 +448,15 @@ def _k8_forests():
     return enumerate_if(complete_graph(8), 2)
 
 
+def _traces():
+    # 300 distinct traces, more than one slice
+    k5 = complete_graph(5)
+    traces = [psi(k5, a, b) for a in enumerate_if(k5, 1)
+              for b in enumerate_if(k5, 3)][:300]
+    assert len(set(traces)) == 300 > _SLICE
+    return traces
+
+
 PAYLOADS = {
     **{f"list-{n}": lambda n=n: {"forests": [
         Forest(2, [(1, 2)]) if i % 2 else i for i in range(n)]}
@@ -463,6 +472,12 @@ PAYLOADS = {
     # six collisions, pinned in test_injection
     "psi-collisions": lambda: {"report": verify_psi(
         complete_graph(4), 2, 3, successor=max_outside)},
+    # a trace is its to_json at any depth: in every slice of a long list, in
+    # short lists and in a tuple
+    "traces-300": lambda: {"traces": _traces()},
+    "trace-in-lists": lambda: {"x": [[_traces()[0]]]},
+    "trace-lists-300": lambda: {"x": [[t] for t in _traces()]},
+    "trace-in-tuple": lambda: {"x": ({"y": (_traces()[1],)}, 2)},
 }
 
 
@@ -471,25 +486,6 @@ def test_sliced_report_is_the_one_shot_text(name, capsys):
     payload = PAYLOADS[name]()
     _emit("enumerate", True, payload, [])
     assert capsys.readouterr().out == _one_shot(payload)
-
-
-def test_traces_past_one_slice_are_written_by_their_to_json():
-    # the C encoder writes any tuple subclass, so a PsiTrace, as an array
-    # without calling `default`; at any depth, in short lists and in every
-    # slice of a long one, each trace is its to_json
-    k5 = complete_graph(5)
-    traces = [psi(k5, a, b) for a in enumerate_if(k5, 1)
-              for b in enumerate_if(k5, 3)][:300]
-    assert len(set(traces)) == 300 > _SLICE and isinstance(traces[0], tuple)
-    written = [json.loads(json.dumps(t.to_json(), default=_to_json))
-               for t in traces]
-    for payload, want in [
-        ({"traces": traces}, {"traces": written}),
-        ({"x": [[traces[0]]]}, {"x": [[written[0]]]}),
-        ({"x": [[t] for t in traces]}, {"x": [[w] for w in written]}),
-        ({"x": ({"y": (traces[1],)}, 2)}, {"x": [{"y": [written[1]]}, 2]}),
-    ]:
-        assert json.loads("".join(cli._pieces(payload))) == want
 
 
 def _emit_peak(payload) -> float:

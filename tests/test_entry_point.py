@@ -209,3 +209,20 @@ def test_polynomial_inputs_stay_under_60_mb(argv, files, seconds, tmp_path):
     status, maxrss_kb = map(int, proc.stdout.split())
     assert status == 0 and json.loads(out.read_text())["ok"]
     assert maxrss_kb / 1024 < 60, f"peak RSS {maxrss_kb / 1024:.1f} MB"
+
+
+def test_permutation_far_longer_than_its_cycles_is_refused_unbuilt():
+    # n = 10**12 with one 1-cycle: the sizes differ, so no range(1, n + 1) is
+    # built; under a 1 GB address-space limit that would be a MemoryError
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, "
+              "(2**30, 2**30)); from isf.cli import run; run()")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "stirling", "to-forest", "--perm", "-"],
+        input=_cycles_json(10**12, [[1]]), env=ENV, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert not report["ok"] and report["payload"] is None
+    assert report["diagnostics"] == [
+        "cycles ((1,),) do not partition 1..1000000000000"]

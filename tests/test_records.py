@@ -1,16 +1,18 @@
-"""Value semantics of the thirteen frozen records: twelve built on
-`graphs.Record`, and `PsiTrace`, a tuple of its fields.
+"""Value semantics of the thirteen frozen records, all built on
+`graphs.Record`; `PsiTrace` keeps its fields as one tuple in one slot.
 
 Every expected repr below was printed by the frozen dataclasses (or, for
 the six reports, the NamedTuples) these classes replaced, so equality,
 hashing and repr keep their old meaning; `TPoly`, which took in the int
 polynomial class `IntPoly`, prints as that dataclass did.  A report with a
 list field cannot be hashed, as before.  No record equals the plain tuple
-of its fields, from either side, tuple-based or not.
+of its fields, from either side.  Each survives copy, deepcopy and pickle.
 """
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +123,7 @@ def test_equality_hash_and_repr(name):
     make, other, want = CASES[name]
     a, b = make(), make()
     assert type(a).__name__ == name and a is not b
+    assert isinstance(a, Record) and not isinstance(a, tuple)
     assert a == b and not a != b
     if name in UNHASHABLE:
         with pytest.raises(TypeError, match="unhashable"):
@@ -131,6 +134,13 @@ def test_equality_hash_and_repr(name):
     assert repr(a) == want
     t = tuple(getattr(a, f) for f in a._fields)
     assert a != t and t != a and not a == t and not t == a
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_copy_deepcopy_and_pickle(name):
+    a = CASES[name][0]()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a) and b == a and repr(b) == repr(a)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -63,6 +63,13 @@ def test_canonical_form_enforced():
         Permutation(3, ((1, 2),))  # not a partition of 1..3
 
 
+@pytest.mark.parametrize("cycles", [((1, 2), ()), ((), (1, 2)), ((1,), (), (2,))])
+def test_empty_cycle_is_refused(cycles):
+    # a partition has no empty block; c[0] of one raised a bare IndexError
+    with pytest.raises(NonCanonicalCycle, match="do not partition 1..2"):
+        Permutation(2, cycles)
+
+
 @pytest.mark.parametrize("n, message", [
     (-1, "vertex count must be >= 0, got -1"),
     (2.0, "vertex count must be an integer, got 2.0"),
