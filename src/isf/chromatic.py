@@ -36,11 +36,11 @@ from .enumeration import isf_counts
 from .polynomials import TPoly
 
 
-def _edge_order(g: OrderedGraph, convention) -> list:
+def _edge_order(g: OrderedGraph, convention) -> tuple:
     """g's edges, each circuit's omitted edge last: decreasing for "min"."""
     if convention not in ("min", "max"):
         raise InputError(f"unknown convention {convention!r}")
-    return g.sorted_edges[::-1] if convention == "min" else g.sorted_edges
+    return g.sort_key()[::-1] if convention == "min" else g.sort_key()
 
 
 def _circuit_paths(n: int, order) -> list:
@@ -121,7 +121,7 @@ def spanning_forests(g: OrderedGraph) -> list:
     order: grown last edge first on component labels (`_joined`), each edge's
     new forests go right after (), ahead of the later edges' own, in order."""
     grown = [((), tuple(range(g.n + 1)))]
-    for e in reversed(g.sorted_edges):
+    for e in reversed(g.sort_key()):
         grown[1:1] = [((e, *chosen), joined) for chosen, label in grown
                       if (joined := _joined(label, *e)) is not None]
     return [Forest(g.n, c) for c, _ in grown]
@@ -224,7 +224,7 @@ def apply_relabeling(g: OrderedGraph, perm) -> OrderedGraph:
     return OrderedGraph(g.n, (sorted((perm[i - 1], perm[j - 1])) for i, j in g.edges))
 
 
-def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport:
+def movable_edge_search(g: OrderedGraph) -> MovableSearchReport:
     """Search every admissible pair (A, B), components(A) < components(B),
     for an edge of A \\ B whose move keeps both forests admissible.
 
@@ -233,8 +233,6 @@ def movable_edge_search(g: OrderedGraph, relabeling=None) -> MovableSearchReport
     `good`; more[k] holds the B with more than k components.  Each A clears
     joinable[e] if A - e is in `good`; its failures are the bits left, in order.
     """
-    if relabeling is not None:
-        g = apply_relabeling(g, relabeling)
     nbrs = _neighbor_sets(g)
     admissible = [f for f in spanning_forests(g)
                   if _all_vertices_good(f.parent, nbrs)]

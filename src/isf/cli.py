@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 from .brackets import phi, phi_inverse, subset_pair_map
 from .chromatic import (
+    apply_relabeling,
     broken_circuits,
     chromatic_polynomial,
     is_admissible_goodvertex,
@@ -141,8 +142,9 @@ def _cmd_admissible(args):
 
 
 def _cmd_search_movable(args):
-    relabel = _int_set(args.relabel) if args.relabel is not None else None
-    return OK, movable_edge_search(_graph(args.graph), relabel)
+    perm = _int_set(args.relabel) if args.relabel is not None else None
+    g = _graph(args.graph)
+    return OK, movable_edge_search(g if perm is None else apply_relabeling(g, perm))
 
 
 def _cmd_check(args):

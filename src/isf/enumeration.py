@@ -106,7 +106,7 @@ def isf_factorization_check(g: OrderedGraph) -> FactorizationReport:
     lhs = isf_tpoly(g)
     y = [MultiPoly({((i, j),): 1 for i in g.smaller_neighbors(j)})
          for j in range(1, g.n + 1)]
-    rhs = TPoly(_product_counts(y, MultiPoly.one(), MultiPoly.zero()))
+    rhs = TPoly(_product_counts(y, MultiPoly.const(1), MultiPoly()))
     return FactorizationReport(lhs == rhs, lhs, rhs)
 
 

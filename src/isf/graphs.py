@@ -96,7 +96,7 @@ class OrderedGraph(Record):
     """Simple graph on vertices 1..n with the natural total order.
 
     Stores n and `_sorted_edges`, its edges as a sorted tuple, which
-    `sort_key`, `sorted_edges` and `to_json` read; `edges` is cached.
+    `sort_key` returns and `to_json` reads; `edges` is cached.
     """
 
     _fields = ("n", "edges")
@@ -138,10 +138,6 @@ class OrderedGraph(Record):
     def smaller_neighbors(self, j: int) -> list:
         """Neighbors i of j with i < j, sorted increasing."""
         return [i for i, jj in self._sorted_edges if jj == j]
-
-    @property
-    def sorted_edges(self) -> list:
-        return list(self._sorted_edges)
 
     def sort_key(self) -> tuple:
         return self._sorted_edges

@@ -44,16 +44,8 @@ class MultiPoly:
         self._terms = {_monomial(m): c for m, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
     def const(cls, c: int) -> "MultiPoly":
         return cls({(): c})
-
-    @classmethod
-    def one(cls) -> "MultiPoly":
-        return cls.const(1)
 
     @property
     def terms(self) -> dict:
@@ -77,7 +69,7 @@ class MultiPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        res = MultiPoly.zero()
+        res = MultiPoly()
         res._terms = out
         return res
 
@@ -92,7 +84,7 @@ class MultiPoly:
                     out[m] = s
                 else:
                     del out[m]
-        res = MultiPoly.zero()
+        res = MultiPoly()
         res._terms = out
         return res
 

@@ -47,9 +47,6 @@ class Permutation(Record):
         if list(cycles) != sorted(cycles, key=lambda c: c[0]):
             raise NonCanonicalCycle("cycles are not sorted by their minima")
 
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
         if not (
@@ -138,10 +135,10 @@ def permutation_psi(sigma: Permutation, tau: Permutation) -> PermutationMove:
     """Break one cycle of sigma, glue two cycles of tau."""
     if sigma.n != tau.n:
         raise SizeViolation(f"mismatched sizes {sigma.n} != {tau.n}")
-    if sigma.cycle_count() >= tau.cycle_count():
+    if len(sigma.cycles) >= len(tau.cycles):
         raise SizeViolation(
             "need cycles(sigma) < cycles(tau), got "
-            f"{sigma.cycle_count()} >= {tau.cycle_count()}"
+            f"{len(sigma.cycles)} >= {len(tau.cycles)}"
         )
     # psi reads K_n only to check the forests lie in it; their union will do
     a, b = permutation_to_forest(sigma), permutation_to_forest(tau)

@@ -17,7 +17,7 @@ from isf import (
     CyclicInput, Forest, InputError, MultiPoly, OrderedGraph,
     Permutation, TPoly, a_poly, broken_circuits, enumerate_if, spanning_forests,
 )
-from isf.chromatic import MovableSearchReport, WhitneyReport, apply_relabeling
+from isf.chromatic import MovableSearchReport, WhitneyReport
 
 
 @contextmanager
@@ -263,7 +263,7 @@ def reference_chromatic_polynomial(g, pivot="first"):
     node and memoizes across calls."""
     if not g.edges:
         return TPoly((0,) * g.n + (1,))
-    order = g.sorted_edges
+    order = g.sort_key()
     e = order[0] if pivot == "first" else order[-1]
     i, j = e
     deleted = OrderedGraph(g.n, g.edges - {e})
@@ -362,11 +362,9 @@ def orient_goodvertex(g, f):
     return True
 
 
-def per_edge_movable_search(g, relabeling=None):
+def per_edge_movable_search(g):
     """Movable-edge search that rescans B plus each candidate edge for a
     circuit and validates both moved forests before testing them."""
-    if relabeling is not None:
-        g = apply_relabeling(g, relabeling)
     admissible = [f for f in spanning_forests(g) if orient_goodvertex(g, f)]
 
     def has_movable_edge(a, b):

@@ -302,20 +302,35 @@ def test_admissible_matches_orient_oracle():
             )
 
 
+def test_admissible_forests_number_the_chromatic_coefficients():
+    """On each of the 1,099 graphs with 1 to 5 vertices, the good-vertex-
+    admissible spanning forests with k components number |c_k|, the t^k
+    coefficient of the chromatic polynomial.  A computed fact on at most 5
+    vertices, not a theorem."""
+    graphs = [g for n in range(1, 6) for g in all_edge_subsets(n)]
+    assert len(graphs) == 1099
+    for g in graphs:
+        counts = [0] * (g.n + 1)
+        for f in spanning_forests(g):
+            if is_admissible_goodvertex(g, f):
+                counts[f.component_count()] += 1
+        p = chromatic_polynomial(g)
+        assert counts == [abs(p.coefficient(k)) for k in range(g.n + 1)], g
+
+
 def test_movable_search_matches_per_edge_oracle(graphs_on_5):
     sample = Random(14).sample(graphs_on_5, 64)
     for g in [*all_edge_subsets(4), complete_graph(5), *sample]:
         assert movable_edge_search(g) == per_edge_movable_search(g), g
     for perm in ([1, 3, 4, 2], [4, 3, 2, 1]):
-        assert movable_edge_search(G33, perm) == (
-            per_edge_movable_search(G33, perm)
-        )
+        g = apply_relabeling(G33, perm)
+        assert movable_edge_search(g) == per_edge_movable_search(g)
 
 
 def test_movable_search_matches_oracle_on_sparse_6_vertex_graphs():
     # 822 failures in all: they must come out in the forests' sorted order,
     # and only for an edge e of A with A - e admissible may B + e serve
-    edges = complete_graph(6).sorted_edges
+    edges = complete_graph(6).sort_key()
     rng = Random(29)
     for _ in range(12):
         g = OrderedGraph(6, frozenset(rng.sample(edges, 8)))
@@ -399,10 +414,8 @@ def test_movable_edge_search_counterexample():
 
 def test_movable_edge_search_relabeled():
     assert movable_edge_search(G33_RELABELED).all_pairs_ok
-    # same result via the relabeling argument: 1->4? find the permutation
-    # mapping G33 onto G33_RELABELED: 1->1, 2->3, 3->4, 4->2
-    rep = movable_edge_search(G33, relabeling=[1, 3, 4, 2])
-    assert rep.all_pairs_ok
+    # the permutation mapping G33 onto G33_RELABELED: 1->1, 2->3, 3->4, 4->2
+    assert apply_relabeling(G33, [1, 3, 4, 2]) == G33_RELABELED
 
 
 def test_movable_edge_search_trees():
@@ -416,7 +429,7 @@ def test_movable_edge_search_trees():
 
 def test_relabeling_rejects_non_permutation():
     with pytest.raises(InputError):
-        movable_edge_search(G33, relabeling=[1, 1, 2, 3])
+        apply_relabeling(G33, [1, 1, 2, 3])
 
 
 @pytest.mark.parametrize("perm", [[True, 2, 3], [1, 2, 3.0], [2.0, 1, 3]])
@@ -424,9 +437,8 @@ def test_relabeling_rejects_non_permutation():
 def test_relabeling_rejects_labels_that_are_not_ints(perm, edges):
     # True == 1 and 3.0 == 3, so they sort like a permutation of 1..3
     g = OrderedGraph(3, frozenset(edges))
-    for relabel in (apply_relabeling, movable_edge_search):
-        with pytest.raises(InputError, match="is not a permutation of 1..3"):
-            relabel(g, perm)
+    with pytest.raises(InputError, match="is not a permutation of 1..3"):
+        apply_relabeling(g, perm)
 
 
 def test_peo_examples():

@@ -23,6 +23,7 @@ from isf import (
     phi,
     phi_reversed,
     psi,
+    subset_pair_map,
     verify_psi,
 )
 from isf.brackets import _phi
@@ -285,6 +286,30 @@ def test_minima_bookkeeping():
             assert (ma | {tr.j}) | (mb - {tr.j}) == ma | mb
             assert (ma | {tr.j}) & (mb - {tr.j}) == ma & mb
             assert (ma | {tr.j}) ^ (mb - {tr.j}) == ma ^ mb
+
+
+def test_psi_moves_minima_as_subset_pair_map():
+    # on every pair of IF_k x IF_l, k < l, of every graph on 1 to 5
+    # vertices: j, m(A') and m(B') are the moved element, x_new and y_new
+    # of subset_pair_map(n, m(A), m(B))
+    def minima(vector):
+        return frozenset(v for v, p in enumerate(vector) if v and not p)
+
+    pairs, mismatches = 0, []
+    for n in range(1, 6):
+        for g in all_edge_subsets(n):
+            for k in range(1, n):
+                for l in range(k + 1, n + 1):
+                    for a in enumerate_if(g, k):
+                        for b in enumerate_if(g, l):
+                            pairs += 1
+                            tr = psi(g, a, b)
+                            moved = (minima(tr.A_out_parent),
+                                     minima(tr.B_out_parent), tr.j)
+                            if moved != subset_pair_map(n, a.minima, b.minima):
+                                mismatches.append((g, a, b))
+    assert pairs == 282_507
+    assert mismatches == []
 
 
 def test_verify_psi_k4():

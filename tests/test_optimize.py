@@ -92,6 +92,10 @@ REMOVED = [
     ("chromatic", None, "IntPoly"),
     ("graphs", "Forest", "components"),
     ("polynomials", "MultiPoly", "is_zero"),
+    ("graphs", "OrderedGraph", "sorted_edges"),
+    ("polynomials", "MultiPoly", "zero"),
+    ("polynomials", "MultiPoly", "one"),
+    ("stirling", "Permutation", "cycle_count"),
 ]
 
 

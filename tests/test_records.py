@@ -196,7 +196,7 @@ def test_keyword_construction_validates():
 
 
 def test_tpoly_holds_int_and_multipoly_coefficients_alike():
-    x, one, zero = MultiPoly({(1,): 1}), MultiPoly.one(), MultiPoly.zero()
+    x, one, zero = MultiPoly({(1,): 1}), MultiPoly.const(1), MultiPoly()
     # trailing zeros go, for ints and for MultiPolys, down to the zero polynomial
     assert TPoly([0, 2, 1, 0, 0]).coeffs == (0, 2, 1)
     assert TPoly([zero, x, one, zero]).coeffs == (zero, x, one)

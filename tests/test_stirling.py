@@ -193,12 +193,12 @@ def test_permutation_psi_spectators_exhaustive(n):
     images = []
     for sigma in perms:
         for tau in perms:
-            if sigma.cycle_count() >= tau.cycle_count():
+            if len(sigma.cycles) >= len(tau.cycles):
                 continue
             move = permutation_psi(sigma, tau)
             assert move.spectators_unchanged
-            assert move.sigma_p.cycle_count() == sigma.cycle_count() + 1
-            assert move.tau_p.cycle_count() == tau.cycle_count() - 1
+            assert len(move.sigma_p.cycles) == len(sigma.cycles) + 1
+            assert len(move.tau_p.cycles) == len(tau.cycles) - 1
             assert move.broken_cycle in sigma.cycles
             assert all(c in tau.cycles for c in move.glued_pair)
             # break: one new cycle is a factor of the broken word after its
