@@ -7,6 +7,11 @@ invariant fails (a finding that would falsify the underlying theorems),
 and 2 on input or usage errors.  `-` as a file argument reads standard
 input.  Output is deterministic: keys are sorted and identical
 invocations produce byte-identical bytes.
+
+Handlers call through their modules, which the package compiles when first
+used, so a command loads only its own chain (`phi`: `brackets`, `errors`).
+The modules are bound here, not imported in handlers, so that a tracer's
+`install()`, which reads `sys.modules`, finds them all.
 """
 
 from __future__ import annotations
@@ -17,33 +22,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .brackets import phi, phi_inverse, subset_pair_map
-from .chromatic import (
-    apply_relabeling,
-    broken_circuits,
-    chromatic_polynomial,
-    is_admissible_goodvertex,
-    movable_edge_search,
-    peo_isf_check,
-    whitney_check,
-)
-from .enumeration import (
-    a_poly,
-    enumerate_if,
-    isf_factorization_check,
-    isf_tpoly,
-    strong_logconcavity_check,
-)
+from . import brackets, chromatic, enumeration, graphs, injection, stirling
 from .errors import InputError, InvariantViolation
-from .graphs import Forest, OrderedGraph
-from .injection import psi, verify_psi
-from .stirling import (
-    Permutation,
-    forest_to_permutation,
-    permutation_psi,
-    permutation_to_forest,
-    stirling_row,
-)
 
 OK, PROPERTY_FAILURE, USAGE_ERROR = 0, 1, 2
 _SLICE = 256  # items of a long list per encoder call in `_pieces`
@@ -61,12 +41,12 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read JSON from {path}: {exc}") from None
 
 
-def _graph(path: str) -> OrderedGraph:
-    return OrderedGraph.from_json(_load_json(path))
+def _graph(path: str) -> graphs.OrderedGraph:
+    return graphs.OrderedGraph.from_json(_load_json(path))
 
 
-def _forest(path: str) -> Forest:
-    return Forest.from_json(_load_json(path))
+def _forest(path: str) -> graphs.Forest:
+    return graphs.Forest.from_json(_load_json(path))
 
 
 def _int_set(text: str) -> list:
@@ -80,84 +60,87 @@ def _int_set(text: str) -> list:
 
 
 def _cmd_enumerate(args):
-    return OK, {"forests": enumerate_if(_graph(args.graph), args.components)}
+    forests = enumeration.enumerate_if(_graph(args.graph), args.components)
+    return OK, {"forests": forests}
 
 
 def _cmd_poly(args):
     g = _graph(args.graph)
     if args.k is not None:
-        return OK, {"poly": a_poly(g, args.k)}
-    return OK, {"tpoly": isf_tpoly(g)}
+        return OK, {"poly": enumeration.a_poly(g, args.k)}
+    return OK, {"tpoly": enumeration.isf_tpoly(g)}
 
 
 def _cmd_phi(args):
     ground = _int_set(args.ground)
     subset = _int_set(args.subset)
     if args.invert:
-        return OK, {"preimage": sorted(phi_inverse(ground, subset))}
-    return OK, {"image": sorted(phi(ground, subset))}
+        return OK, {"preimage": sorted(brackets.phi_inverse(ground, subset))}
+    return OK, {"image": sorted(brackets.phi(ground, subset))}
 
 
 def _cmd_subset_map(args):
-    xp, yp, i = subset_pair_map(args.n, _int_set(args.x), _int_set(args.y))
+    xp, yp, i = brackets.subset_pair_map(args.n, _int_set(args.x), _int_set(args.y))
     return OK, {"x_new": sorted(xp), "y_new": sorted(yp), "moved": i}
 
 
 def _cmd_psi(args):
-    trace = psi(_graph(args.graph), _forest(args.forest_a), _forest(args.forest_b))
+    trace = injection.psi(_graph(args.graph), _forest(args.forest_a),
+                          _forest(args.forest_b))
     return OK, {"trace": trace}
 
 
 def _cmd_verify(args):
-    report = verify_psi(_graph(args.graph), args.k, args.l)
+    report = injection.verify_psi(_graph(args.graph), args.k, args.l)
     status = OK if report.injective else PROPERTY_FAILURE
     return status, {"report": report}
 
 
 def _cmd_stirling(args):
     if args.words[1] == "row":
-        return OK, stirling_row(args.n)
+        return OK, stirling.stirling_row(args.n)
     if args.words[1] == "to-perm":
-        return OK, {"perm": forest_to_permutation(_forest(args.forest))}
+        return OK, {"perm": stirling.forest_to_permutation(_forest(args.forest))}
     if args.words[1] == "to-forest":
-        perm = Permutation.from_json(_load_json(args.perm))
-        return OK, {"forest": permutation_to_forest(perm)}
-    sigma = Permutation.from_json(_load_json(args.sigma))
-    tau = Permutation.from_json(_load_json(args.tau))
-    return OK, {"move": permutation_psi(sigma, tau)}
+        perm = stirling.Permutation.from_json(_load_json(args.perm))
+        return OK, {"forest": stirling.permutation_to_forest(perm)}
+    sigma = stirling.Permutation.from_json(_load_json(args.sigma))
+    tau = stirling.Permutation.from_json(_load_json(args.tau))
+    return OK, {"move": stirling.permutation_psi(sigma, tau)}
 
 
 def _cmd_chromatic(args):
-    return OK, {"poly": chromatic_polynomial(_graph(args.graph))}
+    return OK, {"poly": chromatic.chromatic_polynomial(_graph(args.graph))}
 
 
 def _cmd_nbc(args):
-    bcs = broken_circuits(_graph(args.graph), args.convention)
+    bcs = chromatic.broken_circuits(_graph(args.graph), args.convention)
     return OK, {"broken_circuits": [[list(e) for e in sorted(bc)] for bc in bcs]}
 
 
 def _cmd_admissible(args):
-    ok = is_admissible_goodvertex(_graph(args.graph), _forest(args.forest))
+    ok = chromatic.is_admissible_goodvertex(_graph(args.graph), _forest(args.forest))
     return OK, {"admissible": ok}
 
 
 def _cmd_search_movable(args):
     perm = _int_set(args.relabel) if args.relabel is not None else None
     g = _graph(args.graph)
-    return OK, movable_edge_search(g if perm is None else apply_relabeling(g, perm))
+    return OK, chromatic.movable_edge_search(
+        g if perm is None else chromatic.apply_relabeling(g, perm))
 
 
 def _cmd_check(args):
     g = _graph(args.graph)
     if args.words[1] == "factorization":
-        rep = isf_factorization_check(g)
+        rep = enumeration.isf_factorization_check(g)
         return (OK if rep.equal else PROPERTY_FAILURE), rep
     if args.words[1] == "logconcavity":
-        return OK, strong_logconcavity_check(g, args.p, args.q)
+        return OK, enumeration.strong_logconcavity_check(g, args.p, args.q)
     if args.words[1] == "whitney":
-        rep = whitney_check(g, args.convention)
+        rep = chromatic.whitney_check(g, args.convention)
         return (OK if rep.equal else PROPERTY_FAILURE), rep
-    return OK, peo_isf_check(g)
+    return OK, chromatic.peo_isf_check(g)
 
 
 _REQUIRED = object()  # the default of an option that must be given

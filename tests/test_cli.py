@@ -620,7 +620,7 @@ def test_invariant_violation_exit_code(capsys, monkeypatch, k3):
     def broken(*args):
         raise InvariantViolation("psi bookkeeping failed: test")
 
-    monkeypatch.setattr("isf.cli.verify_psi", broken)
+    monkeypatch.setattr("isf.injection.verify_psi", broken)
     status, rep = run(capsys, "verify", "psi", "--graph", k3, "--k", "1", "--l", "2")
     assert status == 1 and not rep["ok"] and rep["payload"] is None
     assert rep["diagnostics"] == ["psi bookkeeping failed: test"]

@@ -5,8 +5,9 @@ survives, so the collector never runs in an `isf` process.  That is only
 free if commands build no reference cycles; the first test checks it on
 the golden corpus.  The others replay the corpus through a real
 `python -m isf.cli` process, check that `main()` itself leaves a library
-caller's GC settings alone, keep the start-up imports small, and bound the
-peak memory of commands whose inputs and outputs are of polynomial size.
+caller's GC settings alone, keep the start-up imports small, pin which
+`isf` submodules each command form loads, and bound the peak memory of
+commands whose inputs and outputs are of polynomial size.
 """
 
 import contextlib
@@ -119,6 +120,64 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     names = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
     preloaded = _modules_loaded_by("pass", names)
     assert _modules_loaded_by("import isf.cli", names) - preloaded == set()
+
+
+# The submodules are registered lazily (see isf/__init__.py), so a module
+# that is in sys.modules but was never used is still a `_LazyModule`;
+# only a loaded one is a plain module.
+LOADED = """
+import contextlib, io, sys, types
+{code}
+print(*(name for name, module in sys.modules.items() if name.startswith("isf.")
+        and name != "isf.cli" and type(module) is types.ModuleType))
+"""
+
+
+def _isf_modules_loaded_by(code: str, argv=(), cwd=None) -> set:
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED.format(code=code),
+                           *argv], cwd=cwd, env=ENV, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return {name[len("isf."):] for name in proc.stdout.split()}
+
+
+def test_import_loads_no_submodule():
+    assert _isf_modules_loaded_by("import isf") == set()
+
+
+_NOT_PHI = {"chromatic", "enumeration", "graphs", "injection", "polynomials",
+            "stirling"}
+_NOT_PSI = {"injection", "brackets", "stirling"}
+# one golden case of each command form -> the submodules it must not load
+UNLOADED = {
+    "phi-invert-6": _NOT_PHI,
+    "subset-map-6": _NOT_PHI,
+    "enumerate-k4-c2": {"chromatic", *_NOT_PSI},
+    "poly-k3-k2": {"chromatic", *_NOT_PSI},
+    "poly-k4": {"chromatic", *_NOT_PSI},
+    "check-factorization-k3": {"chromatic", *_NOT_PSI},
+    "check-logconcavity-empty3-p1-q1": {"chromatic", *_NOT_PSI},
+    "chromatic-c5": _NOT_PSI,
+    "nbc-k4-min": _NOT_PSI,
+    "admissible-g33-fork": _NOT_PSI,
+    "search-movable-g33-relabel": _NOT_PSI,
+    "check-whitney-petersen-min": _NOT_PSI,
+    "check-peo-c4": _NOT_PSI,
+    "psi-k3-path": {"chromatic", "stirling"},
+    "verify-psi-k4-k1-l2": {"chromatic", "stirling"},
+    "stirling-row-8": {"chromatic"},
+    "stirling-to-perm-f9": {"chromatic"},
+    "stirling-to-forest-f9": {"chromatic"},
+    "stirling-psi-n6": {"chromatic"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOADED))
+def test_a_command_loads_only_its_own_modules(case):
+    code = ("from isf.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0")
+    loaded = _isf_modules_loaded_by(code, CASES[case], cwd=GOLDEN)
+    assert "errors" in loaded and loaded & UNLOADED[case] == set()
 
 
 def test_run_disables_the_collector_and_freezes_survivors(monkeypatch):

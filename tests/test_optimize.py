@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,15 @@ REMOVED = [
 
 def test_public_surface_is_pinned():
     assert sorted(isf.__all__) == PUBLIC
+    # each name is its owner's object, however the package resolves it
+    for name in isf.__all__:
+        obj = getattr(isf, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"isf.{name}"]
+        else:
+            assert obj is getattr(sys.modules[obj.__module__], name)
+    with pytest.raises(AttributeError):
+        isf.no_such_name
 
 
 @pytest.mark.parametrize("module, owner, name", REMOVED)
